@@ -22,7 +22,9 @@
 # batching shape checks. Phase 9: recovery leg — a durable serve is
 # SIGKILLed mid-stream and recovered over the same WAL directory; the
 # recovered decision log must be byte-identical to an uninterrupted replay
-# and the fencing epoch must have advanced. Sanitizers exit non-zero on any
+# and the fencing epoch must have advanced; the leg runs once with the
+# default engine and once with --algo lp-sparse, whose snapshots carry the
+# controller's simplex bases. Sanitizers exit non-zero on any
 # report, which set -e turns into a CI failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -154,51 +156,64 @@ rm -rf "${serve_dir}"
 # once the WAL holds every delivered record, then --recover over the same
 # directory and feed the rest. The recovered server's full decision log must
 # be byte-identical to an uninterrupted replay of the whole stream, and the
-# fencing epoch must have advanced to 2 (one bump per start).
-wal_dir=$(mktemp -d /tmp/maxutil_wal.XXXXXX)
-ref_log=$(mktemp /tmp/maxutil_serveref.XXXXXX.log)
-rec_log=$(mktemp /tmp/maxutil_serverec.XXXXXX.log)
-clean_events=$(mktemp /tmp/maxutil_events.XXXXXX)
-part1=$(mktemp /tmp/maxutil_part1.XXXXXX)
-part2=$(mktemp /tmp/maxutil_part2.XXXXXX)
-grep -v '^[[:space:]]*#' examples/serve_demo.events \
-  | grep -v '^[[:space:]]*$' > "${clean_events}"
-split_at=6
-head -n "${split_at}" "${clean_events}" > "${part1}"
-tail -n +"$((split_at + 1))" "${clean_events}" > "${part2}"
-./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
-  --input "${clean_events}" --window 2 --decisions "${ref_log}" >/dev/null
-fifo="${wal_dir}.fifo"
-mkfifo "${fifo}"
-./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
-  --input "${fifo}" --window 2 --wal "${wal_dir}" --snapshot-every 2 \
-  --decisions /dev/null >/dev/null 2>&1 &
-serve_pid=$!
-exec 3>"${fifo}"
-cat "${part1}" >&3
-for _ in $(seq 1 100); do
-  wal_count=$(grep -c '^r ' "${wal_dir}/wal.log" 2>/dev/null || true)
-  [ "${wal_count:-0}" -eq "${split_at}" ] && break
-  sleep 0.1
-done
-kill -9 "${serve_pid}" 2>/dev/null || true
-wait "${serve_pid}" 2>/dev/null || true
-exec 3>&-
-rm -f "${fifo}"
-./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
-  --input "${part2}" --window 2 --recover "${wal_dir}" --snapshot-every 2 \
-  --decisions "${rec_log}" >/dev/null
-cmp "${ref_log}" "${rec_log}"
-echo "ci.sh: SIGKILL mid-stream recovery reproduced the decision log" \
-  "byte-identically"
-recovered_epoch=$(cat "${wal_dir}/epoch")
-if [ "${recovered_epoch}" != "2" ]; then
-  echo "ci.sh: expected fencing epoch 2 after one restart, got" \
-    "${recovered_epoch}" >&2
-  exit 1
-fi
-echo "ci.sh: fencing epoch advanced to ${recovered_epoch} across the restart"
-rm -rf "${wal_dir}" "${ref_log}" "${rec_log}" "${clean_events}" \
-  "${part1}" "${part2}"
+# fencing epoch must have advanced to 2 (one bump per start). Extra
+# arguments go to every serve invocation.
+recovery_leg() {
+  local label="${*:-default engine}"
+  local wal_dir ref_log rec_log clean_events part1 part2 fifo serve_pid
+  wal_dir=$(mktemp -d /tmp/maxutil_wal.XXXXXX)
+  ref_log=$(mktemp /tmp/maxutil_serveref.XXXXXX.log)
+  rec_log=$(mktemp /tmp/maxutil_serverec.XXXXXX.log)
+  clean_events=$(mktemp /tmp/maxutil_events.XXXXXX)
+  part1=$(mktemp /tmp/maxutil_part1.XXXXXX)
+  part2=$(mktemp /tmp/maxutil_part2.XXXXXX)
+  grep -v '^[[:space:]]*#' examples/serve_demo.events \
+    | grep -v '^[[:space:]]*$' > "${clean_events}"
+  local split_at=6
+  head -n "${split_at}" "${clean_events}" > "${part1}"
+  tail -n +"$((split_at + 1))" "${clean_events}" > "${part2}"
+  ./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
+    --input "${clean_events}" --window 2 --decisions "${ref_log}" "$@" \
+    >/dev/null
+  fifo="${wal_dir}.fifo"
+  mkfifo "${fifo}"
+  ./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
+    --input "${fifo}" --window 2 --wal "${wal_dir}" --snapshot-every 2 \
+    --decisions /dev/null "$@" >/dev/null 2>&1 &
+  serve_pid=$!
+  exec 3>"${fifo}"
+  cat "${part1}" >&3
+  local wal_count
+  for _ in $(seq 1 100); do
+    wal_count=$(grep -c '^r ' "${wal_dir}/wal.log" 2>/dev/null || true)
+    [ "${wal_count:-0}" -eq "${split_at}" ] && break
+    sleep 0.1
+  done
+  kill -9 "${serve_pid}" 2>/dev/null || true
+  wait "${serve_pid}" 2>/dev/null || true
+  exec 3>&-
+  rm -f "${fifo}"
+  ./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
+    --input "${part2}" --window 2 --recover "${wal_dir}" --snapshot-every 2 \
+    --decisions "${rec_log}" "$@" >/dev/null
+  cmp "${ref_log}" "${rec_log}"
+  echo "ci.sh: SIGKILL mid-stream recovery (${label}) reproduced the" \
+    "decision log byte-identically"
+  local recovered_epoch
+  recovered_epoch=$(cat "${wal_dir}/epoch")
+  if [ "${recovered_epoch}" != "2" ]; then
+    echo "ci.sh: expected fencing epoch 2 after one restart (${label}), got" \
+      "${recovered_epoch}" >&2
+    exit 1
+  fi
+  echo "ci.sh: fencing epoch advanced to ${recovered_epoch} across the" \
+    "restart (${label})"
+  rm -rf "${wal_dir}" "${ref_log}" "${rec_log}" "${clean_events}" \
+    "${part1}" "${part2}"
+}
+recovery_leg
+# The exact engine's snapshots carry the controller's simplex bases; a
+# recovery that dropped them could re-solve onto a different optimal vertex.
+recovery_leg --algo lp-sparse
 
 echo "ci.sh: all checks passed"

@@ -185,7 +185,7 @@ Controller::Controller(const stream::StreamNetwork& baseline,
 
   EventOutcome boot;
   const solver::SolveResult result =
-      watchdogged_solve(*state_->problem, std::nullopt, boot);
+      watchdogged_solve(*state_->problem, config_, std::nullopt, boot);
   ensure(solver::is_usable(result.status),
          "Controller: initial solve failed: " +
              (result.message.empty() ? std::string(to_string(result.status))
@@ -219,6 +219,9 @@ void Controller::register_metrics() {
       "ctrl_warm_starts_total", "re-solves warm-started from a remapped routing");
   m_cold_starts_ = metrics_.counter("ctrl_cold_starts_total",
                                     "re-solves started from all-rejected");
+  m_lp_warm_bases_ = metrics_.counter(
+      "ctrl_lp_warm_bases_total",
+      "solves handed the stored simplex basis of their LP layout");
   m_exact_restores_ = metrics_.counter(
       "ctrl_exact_restores_total", "restores served from a snapshot (no solve)");
   m_retries_ = metrics_.counter("ctrl_watchdog_retries_total",
@@ -302,10 +305,32 @@ stream::CommodityId Controller::resolve_commodity(const std::string& text,
   return 0;
 }
 
+lp::SimplexBasis* Controller::lp_basis_for(const Config& config) {
+  if (!options_.use_warm_start) return nullptr;
+  std::vector<char> layout = config.node_down;
+  layout.insert(layout.end(), config.link_down.begin(), config.link_down.end());
+  layout.insert(layout.end(), config.commodity_absent.begin(),
+                config.commodity_absent.end());
+  if (lp_slots_[0].layout != layout) {
+    // Returning to the layout before the last change (a denied admission
+    // reverted, a departure re-arriving) reuses its basis; any other layout
+    // evicts the older slot and starts cold.
+    std::swap(lp_slots_[0], lp_slots_[1]);
+    if (lp_slots_[0].layout != layout) {
+      lp_slots_[0] = LpSlot{std::move(layout), {}};
+    }
+  }
+  return &lp_slots_[0].basis;
+}
+
 solver::SolveResult Controller::watchdogged_solve(
-    const solver::Problem& problem, std::optional<core::RoutingState> warm,
-    EventOutcome& outcome) {
+    const solver::Problem& problem, const Config& config,
+    std::optional<core::RoutingState> warm, EventOutcome& outcome) {
   solver::SolveOptions so = options_.solve;
+  so.lp_basis = lp_basis_for(config);
+  if (so.lp_basis != nullptr && !so.lp_basis->empty()) {
+    metrics_.add(m_lp_warm_bases_);
+  }
   so.record_history = true;  // the recovery SLOs read the utility trace
   if (options_.watchdog_iterations > 0 &&
       (so.max_iterations == 0 ||
@@ -431,6 +456,18 @@ std::string Controller::check_event(
 }
 
 EventOutcome Controller::apply(const ChurnEvent& event) {
+  const EventOutcome outcome = apply_event(event);
+  report_.events.push_back(outcome);
+  if (outcome.exact_restore) report_.exact_restores += 1;
+  if (outcome.warm_started) report_.warm_starts += 1;
+  if (outcome.cold_started) report_.cold_starts += 1;
+  if (outcome.watchdog_retry) report_.watchdog_retries += 1;
+  if (!solver::is_usable(outcome.status)) report_.failures += 1;
+  report_.final_utility = utility_;
+  return outcome;
+}
+
+EventOutcome Controller::apply_event(const ChurnEvent& event) {
   ensure(routing_.has_value(), "Controller: not initialized");
   EventOutcome outcome;
   outcome.event = event;
@@ -493,9 +530,6 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
                              static_cast<double>(event_index),
                          1.0, {{"iterations", 0.0}, {"utility", utility_}});
       }
-      report_.events.push_back(outcome);
-      report_.exact_restores += 1;
-      report_.final_utility = utility_;
       return outcome;
     }
   }
@@ -559,7 +593,7 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
   const core::RoutingState interim =
       warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
   const solver::SolveResult result =
-      watchdogged_solve(*next_state->problem, warm, outcome);
+      watchdogged_solve(*next_state->problem, next, warm, outcome);
 
   const bool usable = solver::is_usable(result.status);
   state_ = std::move(next_state);
@@ -639,13 +673,6 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
          {"optimum", outcome.optimum},
          {"deficit", outcome.utility_deficit}});
   }
-
-  report_.events.push_back(outcome);
-  if (outcome.warm_started) report_.warm_starts += 1;
-  if (outcome.cold_started) report_.cold_starts += 1;
-  if (outcome.watchdog_retry) report_.watchdog_retries += 1;
-  if (!usable) report_.failures += 1;
-  report_.final_utility = utility_;
   return outcome;
 }
 
@@ -654,9 +681,13 @@ BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
   ensure(!events.empty(), "Controller::apply_batch: empty batch");
 
   // A singleton batch goes through the full per-event path — snapshots,
-  // exact restores, recovery SLOs — so batching degenerates gracefully.
+  // exact restores, recovery SLOs — so batching degenerates gracefully. Its
+  // outcome is not kept in report().events: a serving daemon decides one
+  // request after another for as long as it runs.
   if (events.size() == 1) {
-    const EventOutcome one = apply(events.front());
+    const EventOutcome one = apply_event(events.front());
+    if (!solver::is_usable(one.status)) report_.failures += 1;
+    report_.final_utility = utility_;
     BatchOutcome outcome;
     outcome.events = events;
     outcome.status = one.status;
@@ -743,7 +774,7 @@ BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
   const core::RoutingState interim =
       warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
   const solver::SolveResult result =
-      watchdogged_solve(*next_state->problem, warm, solve_fields);
+      watchdogged_solve(*next_state->problem, next, warm, solve_fields);
   outcome.status = solve_fields.status;
   outcome.watchdog_retry = solve_fields.watchdog_retry;
   outcome.iterations = solve_fields.iterations;
@@ -820,7 +851,7 @@ void Controller::export_state(std::ostream& out) const {
     out << '\n';
   };
 
-  out << "maxutil-ctrl-state 1\n";
+  out << "maxutil-ctrl-state 2\n";
   out << baseline_.node_count() << ' ' << baseline_.link_count() << ' '
       << baseline_.commodity_count() << '\n';
   write_config(config_);
@@ -836,6 +867,23 @@ void Controller::export_state(std::ostream& out) const {
     write_routing(snapshot.routing);
     write_admitted(snapshot.admitted);
   }
+  // Version 2: the LP basis slots, each a layout line and a basis line of
+  // "<length> <digits>" (length 0 and no digits for an empty one).
+  const auto write_digits = [&out](const auto& digits) {
+    out << digits.size();
+    if (!digits.empty()) {
+      out << ' ';
+      for (const auto d : digits) {
+        out << static_cast<char>('0' + static_cast<int>(d));
+      }
+    }
+    out << '\n';
+  };
+  out << "lp-bases " << lp_slots_.size() << '\n';
+  for (const LpSlot& slot : lp_slots_) {
+    write_digits(slot.layout);
+    write_digits(slot.basis.status);
+  }
   out << "end\n";
 }
 
@@ -843,7 +891,8 @@ void Controller::import_state(std::istream& in) {
   std::string magic;
   ensure(static_cast<bool>(in >> magic) && magic == "maxutil-ctrl-state",
          "ctrl state: bad magic (not an export_state blob)");
-  ensure(read_size(in) == 1, "ctrl state: unsupported version");
+  const std::size_t version = read_size(in);
+  ensure(version == 1 || version == 2, "ctrl state: unsupported version");
   ensure(read_size(in) == baseline_.node_count() &&
              read_size(in) == baseline_.link_count() &&
              read_size(in) == baseline_.commodity_count(),
@@ -915,6 +964,47 @@ void Controller::import_state(std::istream& in) {
         Snapshot{std::move(snap_config), std::move(snap_routing),
                  std::move(snap_admitted), snap_utility});
   }
+  // A "<length> <digits>" line whose digits are each at most `max_digit`.
+  const auto read_digits = [&in](int max_digit, const char* what) {
+    const std::size_t length = read_size(in);
+    std::string digits;
+    if (length > 0) {
+      ensure(static_cast<bool>(in >> digits) && digits.size() == length,
+             std::string("ctrl state: ") + what + " line length mismatch");
+    }
+    for (const char c : digits) {
+      ensure(c >= '0' && c - '0' <= max_digit,
+             std::string("ctrl state: bad digit in ") + what + " line");
+    }
+    return digits;
+  };
+  // Version-1 blobs predate the basis slots: they load with both empty, so
+  // the next solve of each layout starts cold.
+  std::array<LpSlot, 2> lp_slots;
+  if (version >= 2) {
+    std::string label;
+    ensure(static_cast<bool>(in >> label) && label == "lp-bases" &&
+               read_size(in) == lp_slots.size(),
+           "ctrl state: bad lp-bases section");
+    const std::size_t layout_length = baseline_.node_count() +
+                                      baseline_.link_count() +
+                                      baseline_.commodity_count();
+    for (LpSlot& slot : lp_slots) {
+      const std::string layout = read_digits(1, "layout");
+      ensure(layout.empty() || layout.size() == layout_length,
+             "ctrl state: layout length " + std::to_string(layout.size()) +
+                 " differs from the baseline's " +
+                 std::to_string(layout_length) + " entities");
+      const std::string basis =
+          read_digits(static_cast<int>(lp::BasisStatus::kFree), "basis");
+      ensure(basis.empty() || !layout.empty(),
+             "ctrl state: basis line without a layout");
+      for (const char c : layout) slot.layout.push_back(c == '1' ? 1 : 0);
+      for (const char c : basis) {
+        slot.basis.status.push_back(static_cast<lp::BasisStatus>(c - '0'));
+      }
+    }
+  }
   std::string trailer;
   ensure(static_cast<bool>(in >> trailer) && trailer == "end",
          "ctrl state: missing trailer (truncated blob)");
@@ -926,6 +1016,7 @@ void Controller::import_state(std::istream& in) {
   utility_ = utility;
   events_applied_ = applied;
   snapshots_ = std::move(snapshots);
+  lp_slots_ = std::move(lp_slots);
   report_.final_utility = utility_;
   metrics_.set(m_utility_, utility_);
   metrics_.set(m_commodities_,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
 #include <map>
@@ -10,6 +11,7 @@
 
 #include "core/routing.hpp"
 #include "ctrl/churn_plan.hpp"
+#include "lp/revised_simplex.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "solver/pipeline.hpp"
@@ -55,7 +57,8 @@ struct ControllerOptions {
 
   /// Per-event solve knobs (iteration budget, eta, threads, tolerance, ...).
   /// tolerance 0 is upgraded to 1e-7 so re-solves stop at convergence
-  /// instead of burning the whole budget after every event.
+  /// instead of burning the whole budget after every event. lp_basis is
+  /// the controller's own (see lp_slots_); a value set here is ignored.
   solver::SolveOptions solve;
 
   xform::PenaltyConfig penalty;
@@ -74,7 +77,8 @@ struct ControllerOptions {
   /// Recovered when utility >= optimum - band * max(1, |optimum|).
   double recovery_band = 0.01;
 
-  /// Remap the previous routing across the surgery maps as a warm start
+  /// Remap the previous routing across the surgery maps as a warm start,
+  /// and hand the sparse LP engine the stored basis of the next layout
   /// (false = always cold start; bench_churn's control arm).
   bool use_warm_start = true;
 
@@ -196,10 +200,12 @@ class Controller {
   /// one per event). Events are validated in order against the staged
   /// configuration, exactly as if applied one by one; the whole batch throws
   /// util::CheckError before any state changes when one is invalid — use
-  /// check_event to pre-screen a stream. A singleton batch delegates to
-  /// apply() (keeping the exact-restore snapshot machinery); multi-event
-  /// batches skip snapshots, so a restore cannot be served exactly across a
-  /// batched crash. Batch outcomes are not appended to report().events.
+  /// check_event to pre-screen a stream. A singleton batch takes apply()'s
+  /// per-event path (keeping the exact-restore snapshot machinery);
+  /// multi-event batches skip snapshots, so a restore cannot be served
+  /// exactly across a batched crash. No batch outcome, singleton or not, is
+  /// appended to report().events, so a long-running daemon's report does
+  /// not grow per decision; report() counts only the batches' failures.
   BatchOutcome apply_batch(const std::vector<ChurnEvent>& events);
 
   /// Validates `event` against the configuration reached from the current
@@ -225,7 +231,8 @@ class Controller {
 
   /// Serializes the controller's full decision-bearing state — the topology
   /// configuration, the standing routing, admitted rates, utility, the
-  /// exact-restore snapshot table, and the applied-event count — as a
+  /// exact-restore snapshot table, the applied-event count, and the two LP
+  /// basis slots (a warm basis can pick a different optimal vertex) — as a
   /// line-oriented text blob. Doubles are rendered as C hexfloats, so a
   /// round trip through import_state is bit-exact and a restored controller
   /// continues a deterministic run with the same decisions the original
@@ -238,8 +245,9 @@ class Controller {
   /// network. Rebuilds the current topology from the pristine baseline (the
   /// same deterministic rebuild path every event uses), reinstates the
   /// routing slot-for-slot, and rebuilds every pending exact-restore
-  /// snapshot. Throws util::CheckError on a malformed blob or a baseline
-  /// shape mismatch.
+  /// snapshot. Version-1 blobs (no basis section) load with empty basis
+  /// slots. Throws util::CheckError on a malformed blob or a baseline shape
+  /// mismatch, leaving the controller untouched.
   void import_state(std::istream& in);
 
   /// SLO metrics (counters/gauges/histograms; docs/CONTROLLER.md §4).
@@ -274,7 +282,23 @@ class Controller {
     double utility = 0.0;
   };
 
+  /// A simplex basis and the LP layout it was solved on. The layout is the
+  /// entity set of a Config (node_down, link_down, commodity_absent, in
+  /// that order); the cap/bw/lambda factors move only rhs and bounds, so
+  /// configurations that differ in them alone share a basis.
+  struct LpSlot {
+    std::vector<char> layout;  // empty: the slot was never used
+    lp::SimplexBasis basis;    // empty: cold start
+  };
+
   std::unique_ptr<State> build_state(const Config& config) const;
+  /// The per-event path shared by apply() and a singleton apply_batch();
+  /// leaves report() to its callers.
+  EventOutcome apply_event(const ChurnEvent& event);
+  /// Selects the slot for `config`'s layout, rotating the two slots on a
+  /// layout change, and returns its basis for the next solve's
+  /// SolveOptions::lp_basis; nullptr when use_warm_start is off.
+  lp::SimplexBasis* lp_basis_for(const Config& config);
   /// Validates `event` against `config` and applies its delta (pure with
   /// respect to controller state — apply()/apply_batch record metrics and
   /// snapshots themselves). Returns the snapshot key a restore/arrive
@@ -287,6 +311,7 @@ class Controller {
   stream::CommodityId resolve_commodity(const std::string& text,
                                         const char* what) const;
   solver::SolveResult watchdogged_solve(const solver::Problem& problem,
+                                        const Config& config,
                                         std::optional<core::RoutingState> warm,
                                         EventOutcome& outcome);
   void register_metrics();
@@ -303,6 +328,11 @@ class Controller {
   /// {'c', commodity}. A restore/arrive whose configuration returns exactly
   /// to the snapshot is served from it with no re-solve.
   std::map<std::pair<char, std::size_t>, Snapshot> snapshots_;
+  /// Simplex bases of the two most recent LP layouts: [0] is the layout
+  /// solved last, [1] the one before the last layout change. Every solve
+  /// gets the matching slot, whatever the pipeline; engines other than the
+  /// sparse LP leave it empty.
+  std::array<LpSlot, 2> lp_slots_;
   ChurnReport report_;
   std::size_t events_applied_ = 0;
 
@@ -311,7 +341,8 @@ class Controller {
   // Metric handles (see register_metrics for the catalog).
   obs::MetricId m_events_, m_crashes_, m_restores_, m_cap_scales_,
       m_bw_scales_, m_arrivals_, m_departures_, m_warm_starts_,
-      m_cold_starts_, m_exact_restores_, m_retries_, m_failures_,
+      m_cold_starts_, m_lp_warm_bases_, m_exact_restores_, m_retries_,
+      m_failures_,
       m_recovered_, m_utility_, m_commodities_, m_recovery_hist_,
       m_deficit_hist_;
 };

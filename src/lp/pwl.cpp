@@ -64,14 +64,17 @@ VarId add_pwl_admission_variable(LpProblem& problem, double lambda,
   ensure(lambda > 0.0, "add_pwl_admission_variable: lambda must be positive");
   ensure(std::abs(pwl.breakpoints().back() - lambda) < 1e-9 * (1.0 + lambda),
          "add_pwl_admission_variable: pwl domain must equal [0, lambda]");
-  const VarId admitted =
-      problem.add_variable(prefix + ".admitted", 0.0, lambda, 0.0);
+  // An empty prefix means "no names": building one string per segment
+  // would dominate assembly for the fine PWL grids the LP reference uses.
+  const bool named = !prefix.empty();
+  const VarId admitted = problem.add_variable(
+      named ? prefix + ".admitted" : std::string(), 0.0, lambda, 0.0);
   std::vector<std::pair<VarId, double>> link{{admitted, -1.0}};
   for (std::size_t k = 0; k < pwl.slopes().size(); ++k) {
     const double width = pwl.breakpoints()[k + 1] - pwl.breakpoints()[k];
-    const VarId seg =
-        problem.add_variable(prefix + ".seg" + std::to_string(k), 0.0, width,
-                             pwl.slopes()[k]);
+    const VarId seg = problem.add_variable(
+        named ? prefix + ".seg" + std::to_string(k) : std::string(), 0.0,
+        width, pwl.slopes()[k]);
     link.emplace_back(seg, 1.0);
   }
   // sum of segments == admitted rate

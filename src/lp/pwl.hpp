@@ -46,8 +46,9 @@ class PwlConcave {
 
 /// Adds to `problem` an admission variable a in [0, lambda] whose utility
 /// U(a) enters the (maximize) objective through `pwl` segment variables.
-/// Returns the VarId of the admission variable. The segment variables are
-/// named "<prefix>.seg<k>".
+/// Returns the VarId of the admission variable, named "<prefix>.admitted";
+/// the segment variables are named "<prefix>.seg<k>". An empty prefix
+/// leaves every name empty.
 VarId add_pwl_admission_variable(LpProblem& problem, double lambda,
                                  const PwlConcave& pwl,
                                  const std::string& prefix);

@@ -2,14 +2,12 @@
 // (xform::solve_reference): the transformed problem solved exactly, with
 // concave utilities encoded piecewise-linearly. Two backends share this
 // translation unit and the solve path: "lp" (dense two-phase tableau) and
-// "lp-sparse" (sparse revised simplex with warm-start basis reuse). Both
-// emit a routing recovered from the optimal vertex
-// (core::routing_from_flows) so pipelines can warm-start iterative stages
-// from the LP optimum.
+// "lp-sparse" (sparse revised simplex, warm-started from the caller's
+// SolveOptions::lp_basis). Both emit a routing recovered from the optimal
+// vertex (core::routing_from_flows) so pipelines can warm-start iterative
+// stages from the LP optimum.
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -32,20 +30,6 @@ Status map_status(lp::LpStatus status) {
   return Status::kFailed;
 }
 
-/// Process-wide basis store for warm-started sparse re-solves: callers that
-/// re-solve a drifting instance pass a stable extra["lp_warm_key"]; the
-/// basis of the previous optimum under that key seeds the next solve.
-/// Layout-mismatched bases are rejected inside solve_revised, so a key that
-/// outlives a topology change degrades to a cold start, never to a wrong
-/// answer.
-lp::SimplexBasis* warm_basis_for(const std::string& key) {
-  static std::mutex mutex;
-  static std::map<std::string, lp::SimplexBasis> store;
-  if (key.empty()) return nullptr;
-  const std::lock_guard<std::mutex> lock(mutex);
-  return &store[key];
-}
-
 SolveResult solve_lp_common(const Problem& problem, const SolveOptions& options,
                             xform::LpBackend backend) {
   xform::ReferenceOptions ro;
@@ -61,7 +45,7 @@ SolveResult solve_lp_common(const Problem& problem, const SolveOptions& options,
   if (ro.backend == xform::LpBackend::kSparse) {
     ro.revised.refactor_interval = static_cast<std::size_t>(
         options.extra_number("refactor_interval", 0.0));
-    ro.warm_basis = warm_basis_for(options.extra_text("lp_warm_key", ""));
+    ro.warm_basis = options.lp_basis;
   }
 
   const auto reference = xform::solve_reference(problem.extended(), ro);
@@ -116,7 +100,7 @@ void register_lp_sparse_solver(SolverRegistry& registry) {
   info.name = "lp-sparse";
   info.description =
       "centralized LP reference on the sparse revised simplex: LU-factored "
-      "basis with eta updates, warm-startable via extra[\"lp_warm_key\"]";
+      "basis with eta updates, warm-startable via SolveOptions::lp_basis";
   info.emits_routing = true;
   info.supports_warm_start = true;
   info.solve = solve_lp_sparse;

@@ -15,6 +15,10 @@
 #include "util/timeseries.hpp"
 #include "xform/extended_graph.hpp"
 
+namespace maxutil::lp {
+struct SimplexBasis;
+}  // namespace maxutil::lp
+
 namespace maxutil::solver {
 
 /// The problem every backend solves: a validated StreamNetwork together with
@@ -93,6 +97,15 @@ struct SolveOptions {
   /// with supports_warm_start). Must be valid on the Problem's extended
   /// graph. Pipelines thread the previous stage's routing through here.
   std::optional<core::RoutingState> warm_start;
+
+  /// In/out simplex basis for the sparse LP engine (lp-sparse, or lp with
+  /// extra["lp_backend"]="sparse"). When non-null and non-empty it seeds
+  /// the solve; on an optimal exit the final basis is written back through
+  /// it. A basis from a different LP layout is ignored (cold start), so a
+  /// stale one costs pivots, never correctness. The caller owns the
+  /// storage (ctrl::Controller keeps one per recent layout); every other
+  /// backend ignores it.
+  lp::SimplexBasis* lp_basis = nullptr;
 
   /// Per-solver passthrough (e.g. {"faults", "drop=0.1"} for distributed,
   /// {"buffer_cap", "8"} for backpressure, {"pwl_segments", "200"} for lp).

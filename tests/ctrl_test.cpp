@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -8,6 +9,7 @@
 #include "ctrl/churn_plan.hpp"
 #include "ctrl/controller.hpp"
 #include "gen/figure1.hpp"
+#include "gen/random_instance.hpp"
 #include "solver/registry.hpp"
 #include "util/check.hpp"
 
@@ -444,6 +446,266 @@ TEST(Controller, ExportImportStateIsBitExact) {
   std::istringstream torn(blob.str().substr(0, blob.str().size() / 2));
   EXPECT_THROW(fresh.import_state(torn), CheckError);
   EXPECT_EQ(fresh.utility(), before);
+}
+
+// --- LP basis slots (lp-sparse) ---
+
+maxutil::stream::StreamNetwork small_generated_network() {
+  maxutil::gen::RandomInstanceParams params;
+  params.servers = 24;
+  params.commodities = 3;
+  params.stages = 4;
+  maxutil::util::Rng rng(11);
+  return maxutil::gen::random_instance(params, rng);
+}
+
+ControllerOptions lp_sparse_options() {
+  ControllerOptions options = fast_options();
+  options.pipeline = "lp-sparse";
+  return options;
+}
+
+ChurnEvent scale_event(ChurnEventKind kind, const std::string& a,
+                       const std::string& b, double factor, std::size_t time) {
+  ChurnEvent event;
+  event.kind = kind;
+  event.time = time;
+  event.factor = factor;
+  if (kind == ChurnEventKind::kCapScale) event.node = a;
+  if (kind == ChurnEventKind::kBwScale) {
+    event.from = a;
+    event.to = b;
+  }
+  return event;
+}
+
+ChurnEvent commodity_event(ChurnEventKind kind, const std::string& name,
+                           double factor, std::size_t time) {
+  ChurnEvent event;
+  event.kind = kind;
+  event.time = time;
+  event.commodity = name;
+  event.factor = factor;
+  return event;
+}
+
+/// Cap and bandwidth events on entities commodity 0 routes through: they
+/// move only row right-hand sides, never the LP layout.
+std::vector<ChurnEvent> rhs_only_events(
+    const maxutil::stream::StreamNetwork& net) {
+  const auto& g = net.graph();
+  const std::string tail = net.node_name(g.tail(0));
+  const std::string head = net.node_name(g.head(0));
+  const std::string other = net.node_name(g.tail(net.link_count() / 2));
+  return {scale_event(ChurnEventKind::kCapScale, tail, "", 0.5, 1),
+          scale_event(ChurnEventKind::kBwScale, tail, head, 0.4, 2),
+          scale_event(ChurnEventKind::kCapScale, other, "", 0.3, 3),
+          scale_event(ChurnEventKind::kCapScale, tail, "", 3.0, 4),
+          scale_event(ChurnEventKind::kBwScale, tail, head, 2.0, 5)};
+}
+
+std::uint64_t lp_warm_bases(const Controller& controller) {
+  const auto id = controller.metrics().find("ctrl_lp_warm_bases_total");
+  return id.has_value() ? controller.metrics().counter_value(*id) : 0;
+}
+
+TEST(ControllerLpBasis, RhsOnlyEventsReSolveWarmInFewerPivots) {
+  const auto net = small_generated_network();
+  Controller warm(net, lp_sparse_options());
+  ControllerOptions cold_options = lp_sparse_options();
+  cold_options.use_warm_start = false;  // every solve starts from slack
+  Controller cold(net, cold_options);
+
+  std::size_t warm_pivots = 0, cold_pivots = 0;
+  for (const ChurnEvent& event : rhs_only_events(net)) {
+    const EventOutcome w = warm.apply(event);
+    const EventOutcome c = cold.apply(event);
+    ASSERT_TRUE(maxutil::solver::is_usable(w.status)) << event.describe();
+    ASSERT_TRUE(maxutil::solver::is_usable(c.status)) << event.describe();
+    EXPECT_LT(w.iterations, c.iterations) << event.describe();
+    EXPECT_NEAR(w.utility_after, c.utility_after,
+                1e-9 * std::max(1.0, std::abs(c.utility_after)))
+        << event.describe();
+    warm_pivots += w.iterations;
+    cold_pivots += c.iterations;
+  }
+  EXPECT_LT(warm_pivots, cold_pivots);
+  EXPECT_EQ(lp_warm_bases(warm), 5u);  // every event was handed its basis
+  EXPECT_EQ(lp_warm_bases(cold), 0u);
+}
+
+TEST(ControllerLpBasis, RevertToThePriorLayoutReSolvesInZeroPivots) {
+  const auto net = small_generated_network();
+  Controller controller(net, lp_sparse_options());
+  controller.apply(
+      commodity_event(ChurnEventKind::kDepart, "commodity1", 1.0, 1));
+  const double utility = controller.utility();
+  const std::vector<double> admitted = controller.admitted();
+
+  // A half-rate arrival is a new layout (and not an exact restore: the rate
+  // differs from the departure snapshot's); departing again returns to the
+  // layout whose basis the previous slot still holds.
+  const EventOutcome arrive = controller.apply(
+      commodity_event(ChurnEventKind::kArrive, "commodity1", 0.5, 2));
+  EXPECT_FALSE(arrive.exact_restore);
+  const std::uint64_t warm_before = lp_warm_bases(controller);
+  const EventOutcome depart = controller.apply(
+      commodity_event(ChurnEventKind::kDepart, "commodity1", 1.0, 3));
+  EXPECT_FALSE(depart.exact_restore);
+  EXPECT_EQ(depart.iterations, 0u);
+  EXPECT_EQ(lp_warm_bases(controller), warm_before + 1);
+  EXPECT_EQ(controller.utility(), utility);  // bit for bit
+  ASSERT_EQ(controller.admitted().size(), admitted.size());
+  for (std::size_t j = 0; j < admitted.size(); ++j) {
+    EXPECT_EQ(controller.admitted()[j], admitted[j]) << "commodity " << j;
+  }
+}
+
+TEST(ControllerLpBasis, ExportImportCarriesBothSlotsBitExactly) {
+  const auto net = small_generated_network();
+  const std::vector<ChurnEvent> rhs = rhs_only_events(net);
+  Controller original(net, lp_sparse_options());
+  original.apply(rhs[0]);
+  original.apply(
+      commodity_event(ChurnEventKind::kDepart, "commodity2", 1.0, 2));
+  original.apply(
+      commodity_event(ChurnEventKind::kArrive, "commodity2", 0.5, 3));
+  std::ostringstream blob;
+  original.export_state(blob);
+
+  Controller restored(net, lp_sparse_options());
+  std::istringstream in(blob.str());
+  restored.import_state(in);
+  std::ostringstream again;
+  restored.export_state(again);
+  EXPECT_EQ(again.str(), blob.str());
+
+  // The next event reverts to the previous slot's layout: both controllers
+  // must re-solve it from the same basis.
+  const ChurnEvent next =
+      commodity_event(ChurnEventKind::kDepart, "commodity2", 1.0, 4);
+  const EventOutcome a = original.apply(next);
+  const EventOutcome b = restored.apply(next);
+  EXPECT_EQ(a.iterations, 0u);
+  EXPECT_EQ(b.iterations, a.iterations);
+  EXPECT_EQ(restored.utility(), original.utility());
+  ASSERT_EQ(restored.routing().slot_count(), original.routing().slot_count());
+  for (std::size_t s = 0; s < original.routing().slot_count(); ++s) {
+    EXPECT_EQ(restored.routing().phi_slot(s), original.routing().phi_slot(s))
+        << "slot " << s;
+  }
+  // And a warm rhs-only event after that agrees as well.
+  const EventOutcome c = original.apply(rhs[1]);
+  const EventOutcome d = restored.apply(rhs[1]);
+  EXPECT_EQ(d.iterations, c.iterations);
+  EXPECT_EQ(restored.utility(), original.utility());
+}
+
+/// The blob's lines, and the index of the "lp-bases" header line.
+std::vector<std::string> blob_lines(const std::string& blob,
+                                    std::size_t* lp_bases_at) {
+  std::vector<std::string> lines;
+  std::istringstream in(blob);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("lp-bases", 0) == 0) *lp_bases_at = lines.size();
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+TEST(ControllerLpBasis, VersionOneBlobImportsWithEmptySlots) {
+  const auto net = small_generated_network();
+  const std::vector<ChurnEvent> rhs = rhs_only_events(net);
+  Controller original(net, lp_sparse_options());
+  original.apply(rhs[0]);
+  std::ostringstream blob;
+  original.export_state(blob);
+
+  // Rewrite as version 1: old header, no basis section.
+  std::size_t at = 0;
+  std::vector<std::string> lines = blob_lines(blob.str(), &at);
+  ASSERT_GT(at, 0u);
+  ASSERT_EQ(lines.front(), "maxutil-ctrl-state 2");
+  lines.front() = "maxutil-ctrl-state 1";
+  lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at),
+              lines.begin() + static_cast<std::ptrdiff_t>(at + 5));
+  Controller restored(net, lp_sparse_options());
+  std::istringstream in(join_lines(lines));
+  restored.import_state(in);
+  EXPECT_EQ(restored.utility(), original.utility());
+
+  // Both slots came back empty: the next solve starts cold.
+  const std::uint64_t warm_before = lp_warm_bases(restored);
+  const EventOutcome outcome = restored.apply(rhs[1]);
+  EXPECT_TRUE(maxutil::solver::is_usable(outcome.status));
+  EXPECT_EQ(lp_warm_bases(restored), warm_before);
+  std::ostringstream out;
+  restored.export_state(out);
+  EXPECT_NE(out.str().find("lp-bases 2\n"), std::string::npos);
+}
+
+TEST(ControllerLpBasis, CorruptBasisSectionIsRejectedUntouched) {
+  const auto net = small_generated_network();
+  Controller original(net, lp_sparse_options());
+  original.apply(rhs_only_events(net)[0]);
+  std::ostringstream blob;
+  original.export_state(blob);
+  std::size_t at = 0;
+  const std::vector<std::string> lines = blob_lines(blob.str(), &at);
+  ASSERT_GT(at, 0u);
+  const std::string& layout = lines[at + 1];  // slot 0: "<n> <digits>"
+  const std::string& basis = lines[at + 2];
+  ASSERT_NE(basis, "0");  // the boot and the event solved this layout
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> corrupt;
+  const auto with = [&](std::size_t line, std::string text) {
+    std::vector<std::string> copy = lines;
+    copy[at + line] = std::move(text);
+    return copy;
+  };
+  std::string bad_digit = basis;
+  bad_digit.back() = '7';
+  corrupt.push_back({"bad status digit", with(2, bad_digit)});
+  corrupt.push_back(
+      {"basis length", with(2, basis.substr(0, basis.size() - 1))});
+  std::string short_layout = layout.substr(layout.find(' ') + 1);
+  short_layout.pop_back();
+  corrupt.push_back(
+      {"layout length",
+       with(1, std::to_string(short_layout.size()) + " " + short_layout)});
+  std::string bad_layout = layout;
+  bad_layout.back() = '2';
+  corrupt.push_back({"layout digit", with(1, bad_layout)});
+  corrupt.push_back({"basis without layout", with(1, "0")});
+
+  Controller target(net, lp_sparse_options());
+  std::ostringstream before;
+  target.export_state(before);
+  for (const auto& [what, bad] : corrupt) {
+    std::istringstream in(join_lines(bad));
+    EXPECT_THROW(target.import_state(in), CheckError) << what;
+    std::ostringstream after;
+    target.export_state(after);
+    EXPECT_EQ(after.str(), before.str()) << what;
+  }
+}
+
+TEST(ControllerLpBasis, RunStillRecordsEveryEventButBatchesDoNot) {
+  const auto net = small_generated_network();
+  const std::vector<ChurnEvent> rhs = rhs_only_events(net);
+  Controller controller(net, lp_sparse_options());
+  ChurnPlan plan;
+  plan.events = {rhs[0], rhs[1]};
+  EXPECT_EQ(controller.run(plan).events.size(), 2u);
+  controller.apply_batch({rhs[2]});
+  controller.apply_batch({rhs[3], rhs[4]});
+  EXPECT_EQ(controller.report().events.size(), 2u);
 }
 
 TEST(Controller, DistributedChurnRunsAreThreadIndependent) {

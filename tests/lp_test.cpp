@@ -396,6 +396,22 @@ TEST(Pwl, AdmissionVariableMaximizesConcaveUtility) {
   EXPECT_NEAR(s.x[a], 1.0 / 0.3 - 1.0, 0.05);
 }
 
+TEST(Pwl, EmptyPrefixLeavesNamesEmpty) {
+  const auto fn = [](double x) { return std::sqrt(x); };
+  const PwlConcave pwl = PwlConcave::from_function(fn, 10.0, 4);
+  LpProblem unnamed;
+  maxutil::lp::add_pwl_admission_variable(unnamed, 10.0, pwl, "");
+  ASSERT_EQ(unnamed.variable_count(), 5u);  // admitted + 4 segments
+  for (VarId v = 0; v < unnamed.variable_count(); ++v) {
+    EXPECT_TRUE(unnamed.variable_name(v).empty()) << "variable " << v;
+  }
+  LpProblem named;
+  const VarId a =
+      maxutil::lp::add_pwl_admission_variable(named, 10.0, pwl, "a3");
+  EXPECT_EQ(named.variable_name(a), "a3.admitted");
+  EXPECT_EQ(named.variable_name(a + 1), "a3.seg0");
+}
+
 TEST(Pwl, DomainMismatchRejected) {
   LpProblem p;
   const auto fn = [](double x) { return std::sqrt(x); };

@@ -233,6 +233,22 @@ TEST(ServeDaemon, DenialRevertsTheCommodity) {
   EXPECT_DOUBLE_EQ(report.decisions[2].admitted, 0.0);
 }
 
+TEST(ServeDaemon, ServingDoesNotGrowTheControllerReport) {
+  const auto net = maxutil::gen::figure1_example();
+  Daemon daemon(net, fast_options());  // window 0: singleton batches
+  std::string stream;
+  for (std::size_t t = 0; t < 40; t += 4) {
+    stream += "cap=Server 3*0.5@" + std::to_string(t) + "\n";
+    stream += "depart=S2@" + std::to_string(t + 1) + "\n";
+    stream += "admit=S2@" + std::to_string(t + 2) + "\n";
+    stream += "cap=Server 3*2@" + std::to_string(t + 3) + "\n";
+  }
+  const ServeReport& report = daemon.run(parse_script_text(stream));
+  EXPECT_EQ(report.decisions.size(), 40u);
+  EXPECT_EQ(report.applied, 30u);
+  EXPECT_TRUE(daemon.controller().report().events.empty());
+}
+
 TEST(ServeDaemon, SubmitAfterFinishThrows) {
   const auto net = maxutil::gen::figure1_example();
   Daemon daemon(net, fast_options());
@@ -449,11 +465,39 @@ const char* kRecoveryStream =
     "admit=S1@13\n"   // S1 already present: a rejected decision
     "query=S2@15\n";
 
-std::string run_uninterrupted(const ServeOptions& options, double* utility) {
+/// Cap, bandwidth and a denied admit each in a batch of its own (window 2,
+/// requests 3 apart), so an lp-sparse controller has live basis slots at
+/// every crash point: rhs-only events re-solve warm, and the denial's
+/// revert returns to the layout held in the previous slot.
+const char* kLpBasisStream =
+    "query=S1@0\n"
+    "cap=Server 3*0.5@3\n"
+    "depart=S2@6\n"
+    "bw=Server 3-Server 5*0.5@9\n"
+    "cap=Server 3*0.005@12\n"
+    "admit=S2*0.5@15\n"   // starved at Server 3: denied and reverted
+    "query=S2@18\n"
+    "bw=Server 3-Server 5*2@21\n"
+    "cap=Server 3*100@24\n"
+    "admit=S2@27\n"
+    "query=S2@30\n";
+
+/// The settled daemon's snapshot blob: counters plus the full controller
+/// state, LP basis slots included.
+std::string state_blob(const Daemon& daemon) {
+  std::ostringstream out;
+  daemon.export_snapshot(out);
+  return out.str();
+}
+
+std::string run_uninterrupted(const ServeOptions& options, double* utility,
+                              const char* stream = kRecoveryStream,
+                              std::string* state = nullptr) {
   const auto net = maxutil::gen::figure1_example();
   Daemon daemon(net, options);
-  const ServeReport& report = daemon.run(parse_script_text(kRecoveryStream));
+  const ServeReport& report = daemon.run(parse_script_text(stream));
   *utility = report.final_utility;
+  if (state != nullptr) *state = state_blob(daemon);
   return report.decision_log();
 }
 
@@ -464,9 +508,11 @@ std::string run_uninterrupted(const ServeOptions& options, double* utility) {
 std::string run_with_crash(std::size_t crash_after,
                            const ServeOptions& options,
                            std::size_t snapshot_every, double* utility,
-                           std::uint64_t* replayed = nullptr) {
+                           std::uint64_t* replayed = nullptr,
+                           const char* stream = kRecoveryStream,
+                           std::string* state = nullptr) {
   const auto net = maxutil::gen::figure1_example();
-  const Script script = parse_script_text(kRecoveryStream);
+  const Script script = parse_script_text(stream);
   TempDir dir;
   DurableOptions durable_options;
   durable_options.dir = dir.path;
@@ -488,6 +534,7 @@ std::string run_with_crash(std::size_t crash_after,
   }
   const ServeReport& report = durable.finish();
   *utility = report.final_utility;
+  if (state != nullptr) *state = state_blob(daemon);
   return durable.full_decision_log();
 }
 
@@ -503,6 +550,39 @@ TEST(ServeRecovery, KillAtEveryWalRecordIsBitIdentical) {
     const std::string log = run_with_crash(k, options, 2, &utility);
     EXPECT_EQ(log, reference) << "crash after record " << k;
     EXPECT_EQ(utility, reference_utility) << "crash after record " << k;
+  }
+}
+
+TEST(ServeRecovery, LpSparseKillAtEveryWalRecordIsBitIdentical) {
+  const ServeOptions options = recovery_options("lp-sparse", 1);
+  {
+    // The stream exercises what it should: a denial, warm re-solves.
+    const auto net = maxutil::gen::figure1_example();
+    Daemon daemon(net, options);
+    const ServeReport& report = daemon.run(parse_script_text(kLpBasisStream));
+    ASSERT_EQ(report.decisions[5].outcome, Outcome::kDeny)
+        << report.decision_log();
+    const auto warm =
+        daemon.controller().metrics().find("ctrl_lp_warm_bases_total");
+    ASSERT_TRUE(warm.has_value());
+    EXPECT_GE(daemon.controller().metrics().counter_value(*warm), 6u);
+  }
+  double reference_utility = 0.0;
+  std::string reference_state;
+  const std::string reference = run_uninterrupted(
+      options, &reference_utility, kLpBasisStream, &reference_state);
+  const std::size_t requests =
+      parse_script_text(kLpBasisStream).requests.size();
+  for (std::size_t k = 0; k <= requests; ++k) {
+    double utility = 0.0;
+    std::string state;
+    const std::string log = run_with_crash(k, options, 2, &utility, nullptr,
+                                           kLpBasisStream, &state);
+    EXPECT_EQ(log, reference) << "crash after record " << k;
+    EXPECT_EQ(utility, reference_utility) << "crash after record " << k;
+    // The decision lines round; the final state (routing, bases) may not
+    // differ in a single bit either.
+    EXPECT_EQ(state, reference_state) << "crash after record " << k;
   }
 }
 

@@ -209,6 +209,35 @@ TEST(AdapterParity, LpMatchesDirectSolveExactly) {
   EXPECT_EQ(result.iterations, direct.iterations);
 }
 
+TEST(AdapterParity, LpSparseWritesItsBasisBackAndReSolvesFromIt) {
+  util::Rng rng(5);
+  const auto net = gen::random_instance({}, rng);
+  const solver::Problem problem(net);
+  auto& registry = solver::SolverRegistry::instance();
+
+  lp::SimplexBasis basis;
+  solver::SolveOptions options;
+  options.lp_basis = &basis;
+  const auto cold = registry.solve("lp-sparse", problem, options);
+  ASSERT_EQ(cold.status, solver::Status::kConverged);
+  EXPECT_GT(cold.iterations, 0u);
+  ASSERT_FALSE(basis.empty());  // the final basis came back
+
+  const lp::SimplexBasis written = basis;
+  const auto warm = registry.solve("lp-sparse", problem, options);
+  ASSERT_EQ(warm.status, solver::Status::kConverged);
+  EXPECT_EQ(warm.iterations, 0u);
+  EXPECT_EQ(warm.utility, cold.utility);
+  EXPECT_EQ(warm.admitted, cold.admitted);
+  EXPECT_EQ(warm.node_usage, cold.node_usage);
+  EXPECT_EQ(basis.status, written.status);
+
+  // Without a basis the adapter is a plain cold solve.
+  const auto plain = registry.solve("lp-sparse", problem, {});
+  EXPECT_EQ(plain.iterations, cold.iterations);
+  EXPECT_EQ(plain.utility, cold.utility);
+}
+
 TEST(AdapterParity, FrankWolfeMatchesDirectSolveExactly) {
   const auto net = figure1();
   const solver::Problem problem(net);
