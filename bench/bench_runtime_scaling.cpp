@@ -1,9 +1,8 @@
 // E15 — runtime scaling: throughput of the parallel deterministic actor
 // runtime on enlarged Section-6 topologies. Sweeps a node-count ladder (up
-// to >10k extended nodes) x thread count, A/B-compares the pooled
-// shard-partitioned delivery against the legacy per-round-allocating path,
-// measures the observe-on overhead at every thread count, verifies every
-// configuration computes bit-identical iterates, and writes the
+// to >10k extended nodes) x thread count, measures the observe-on overhead
+// at every thread count, verifies every configuration computes
+// bit-identical iterates on shard-partitioned rounds, and writes the
 // machine-readable BENCH_runtime_scaling.json perf artifact.
 //
 // `--smoke` runs a single small rung with reduced iterations — the CI leg
@@ -47,7 +46,7 @@ struct RunResult {
   std::size_t pool_reuses = 0;
   std::size_t pool_allocations = 0;
   std::size_t steady_allocations = 0;  // allocations after the warmup phase
-  bool partitioned = false;
+  std::size_t shards = 0;
   double utility = 0.0;
   core::RoutingState routing;
   // Per-phase wall-clock partition; populated only on observed runs
@@ -76,7 +75,7 @@ struct RunResult {
     pool_reuses = system.runtime().payload_pool_reuses();
     pool_allocations = system.runtime().payload_pool_allocations();
     steady_allocations = pool_allocations - allocs_after_warmup;
-    partitioned = system.runtime().partitioned();
+    shards = system.runtime().shard_count();
     utility = system.utility();
     routing = system.routing_snapshot();
     deliver_seconds = system.runtime().total_deliver_seconds();
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("=== E15: parallel runtime scaling%s ===\n",
               smoke ? " (smoke)" : "");
-  std::printf("pooled shard-partitioned delivery vs legacy, thread sweep;"
+  std::printf("shard-partitioned delivery, thread sweep;"
               " host exposes %u hardware thread(s)\n\n", hw);
 
   // The ladder tops out above 10k extended nodes (servers + links +
@@ -148,9 +147,7 @@ int main(int argc, char** argv) {
 
   bool identical = true;
   bool steady_state_clean = true;
-  bool partitioned_when_threaded = true;
-  double legacy_speedup_large = 0.0;
-  double legacy_speedup_best = 0.0;
+  bool sharded_when_threaded = true;
   std::size_t large_extended_nodes = 0;
   std::map<std::size_t, double> speedup_large;   // threads -> speedup
   std::map<std::size_t, double> overhead_large;  // threads -> observed ratio
@@ -176,12 +173,7 @@ int main(int argc, char** argv) {
       return second;
     };
 
-    // Legacy reference: the original serial runtime's delivery path.
-    sim::RuntimeOptions legacy;
-    legacy.pooled_delivery = false;
-    const RunResult legacy_run = measure(legacy);
-
-    // Pooled serial is the baseline every speedup is measured against. Each
+    // One serial shard is the baseline every speedup is measured against. Each
     // thread count runs twice — observation off (timed sweep) and on,
     // adjacent so the overhead ratio compares like-for-like — and the
     // artifact carries the observe-on overhead at every thread count.
@@ -233,16 +225,15 @@ int main(int argc, char** argv) {
             {"pool_allocations", static_cast<double>(run.pool_allocations)},
             {"steady_state_allocations",
              static_cast<double>(run.steady_allocations)},
-            {"speedup_vs_serial", speedup}},
-           {{"partitioned", run.partitioned},
-            // Thread counts beyond the host's cores time-slice instead of
-            // running in parallel; consumers must not read those rows as
-            // scaling evidence.
-            {"oversubscribed", threads > hw}}});
+            {"speedup_vs_serial", speedup},
+            {"shards", static_cast<double>(run.shards)}},
+           // Thread counts beyond the host's cores time-slice instead of
+           // running in parallel; consumers must not read those rows as
+           // scaling evidence.
+           {{"oversubscribed", threads > hw}}});
       return records.back();
     };
 
-    emit("legacy", legacy_run, 0);
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       emit("threads=" + std::to_string(thread_counts[i]), runs[i],
            thread_counts[i]);
@@ -269,10 +260,7 @@ int main(int argc, char** argv) {
     }
 
     // Every configuration must compute the same iterates, bit for bit —
-    // legacy vs pooled, every thread count, observed vs not.
-    identical = identical &&
-                legacy_run.routing.max_difference(reference->routing) == 0.0 &&
-                legacy_run.utility == reference->utility;
+    // every thread count, observed vs not.
     for (const std::vector<RunResult>* sweep : {&runs, &observed_runs}) {
       for (const RunResult& run : *sweep) {
         identical = identical &&
@@ -289,19 +277,16 @@ int main(int argc, char** argv) {
                              run.steady_allocations == 0;
       }
     }
-    // Multi-threaded pooled runs must actually take the shard path.
+    // Multi-threaded runs must actually split the actors across shards.
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       if (thread_counts[i] > 1) {
-        partitioned_when_threaded = partitioned_when_threaded &&
-                                    runs[i].partitioned &&
-                                    observed_runs[i].partitioned;
+        sharded_when_threaded = sharded_when_threaded &&
+                                runs[i].shards > 1 &&
+                                observed_runs[i].shards > 1;
       }
     }
 
-    legacy_speedup_best =
-        std::max(legacy_speedup_best, legacy_run.seconds / serial_seconds);
     if (large) {
-      legacy_speedup_large = legacy_run.seconds / serial_seconds;
       for (std::size_t i = 0; i < thread_counts.size(); ++i) {
         speedup_large[thread_counts[i]] = serial_seconds / runs[i].seconds;
       }
@@ -310,11 +295,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::printf("\nlargest rung (%zu extended nodes):\n", large_extended_nodes);
-  std::printf("  pooled serial vs legacy: %.2fx (best rung %.2fx)\n",
-              legacy_speedup_large, legacy_speedup_best);
   for (const auto& [threads, speedup] : speedup_large) {
     if (threads == 1) continue;
-    std::printf("  %zu threads vs pooled serial: %.2fx%s\n", threads, speedup,
+    std::printf("  %zu threads vs serial: %.2fx%s\n", threads, speedup,
                 threads > hw ? " (oversubscribed)" : "");
   }
   for (const auto& [threads, overhead] : overhead_large) {
@@ -340,32 +323,20 @@ int main(int argc, char** argv) {
   std::printf("shape checks:\n");
   bool ok = true;
   ok &= bench::shape_check(
-      "all modes and thread counts compute bit-identical iterates",
+      "every thread count, observed or not, computes bit-identical iterates",
       identical);
   ok &= bench::shape_check(
       "steady-state rounds allocate zero payload buffers at every thread "
       "count",
       steady_state_clean);
   ok &= bench::shape_check(
-      "multi-threaded pooled runs take the shard-partitioned path",
-      partitioned_when_threaded);
+      "every run at T threads reports shard_count() > 1 for T > 1",
+      sharded_when_threaded);
   // Wall-clock checks need a full-size rung and real cores; smoke mode and
   // oversubscribed points are recorded in the artifact but not gated on.
-  if (!smoke) {
-    // The pooled win is allocation churn removed, so it binds where message
-    // rate dominates compute; the largest rung is compute-heavy and only
-    // has to not regress.
-    ok &= bench::shape_check(
-        "pooled delivery beats the legacy allocating path by >= 1.2x on its "
-        "best rung",
-        legacy_speedup_best >= 1.2);
-    ok &= bench::shape_check(
-        "pooled delivery does not lose to legacy on the largest rung",
-        legacy_speedup_large >= 0.95);
-  }
   if (hw >= 4 && !smoke) {
     ok &= bench::shape_check(
-        "4 threads >= 2x over pooled serial on the largest rung",
+        "4 threads >= 2x over serial on the largest rung",
         speedup_large[4] >= 2.0);
   } else if (!smoke) {
     std::printf("  [SKIP] 4-thread >= 2x speedup check needs >= 4 hardware"
@@ -374,7 +345,7 @@ int main(int argc, char** argv) {
   }
   if (hw >= 8 && !smoke) {
     ok &= bench::shape_check(
-        "8 threads >= 4x over pooled serial on the largest rung",
+        "8 threads >= 4x over serial on the largest rung",
         speedup_large[8] >= 4.0);
   } else if (!smoke) {
     std::printf("  [SKIP] 8-thread >= 4x speedup check needs >= 8 hardware"

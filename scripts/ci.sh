@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # CI entry point. Phase 1: default-preset build + the full ctest suite
 # (unit + integration + cli_smoke + docs_lint). Phase 2: ThreadSanitizer
-# pass over the two concurrency-sensitive binaries — the parallel runtime
-# tests and the fault-injection tests (faulted runs exercise the
-# deterministic merge path under threads). Phase 3: AddressSanitizer pass
-# over the observability suites (metric shards + trace buffers are raw slot
-# arrays; ASan guards the indexing) plus the LP differential harness (the
-# sparse revised simplex indexes CSC/LU/eta arrays by hand; ASan guards
-# every pivot). Phase 4: solver-parity leg — the
-# unified solver layer's registry/adapter/pipeline suite re-run in
-# isolation, so a parity break is named in the CI log even when earlier
+# pass over the concurrency-sensitive binaries — the parallel runtime tests
+# and the fault-injection tests (faulted runs draw every link fault at the
+# serial shard merge while shards step on worker threads). Phase 3:
+# AddressSanitizer pass over the observability suites (metric shards +
+# trace buffers are raw slot arrays; ASan guards the indexing) plus the LP
+# differential harness (the sparse revised simplex indexes CSC/LU/eta
+# arrays by hand; ASan guards every pivot). Phase 3b: UBSan pass (built
+# with -fno-sanitize-recover, so a report aborts the binary) over the
+# runtime, fault, sim and property suites — the shard queues, counting-sort
+# inbox offsets and fault draws are hand-indexed. Phase 4: solver-parity
+# leg — the unified solver layer's registry/adapter/pipeline suite re-run
+# in isolation, so a parity break is named in the CI log even when earlier
 # phases fail for unrelated reasons. Phase 5: churn-controller leg — the
 # ctrl/churn suites re-run in isolation, plus a bench_churn smoke run whose
 # JSON artifact must parse. Phase 6: perf-smoke leg — bench_runtime_scaling
@@ -66,6 +69,14 @@ cmake --build --preset asan -j"${jobs}" --target obs_test property_test \
 # ASan guards every lookup while the differential + golden parity tests run.
 ./build-asan/tests/index_test
 
+cmake --preset ubsan
+cmake --build --preset ubsan -j"${jobs}" --target runtime_parallel_test \
+  fault_test sim_test property_test
+./build-ubsan/tests/runtime_parallel_test
+./build-ubsan/tests/fault_test
+./build-ubsan/tests/sim_test
+./build-ubsan/tests/property_test
+
 # Solver parity: every registry adapter bit-identical to its optimizer,
 # every backend within tolerance of the LP optimum (tests/solver_test.cpp).
 ctest --preset default -R "AdapterParity|CrossSolverParity|Pipeline"
@@ -99,8 +110,8 @@ rm -rf "${churn_dir}"
 
 # Perf-smoke leg: the E15 runtime-scaling bench in smoke mode. Its shape
 # checks fail the run on any correctness regression (bit-identity across
-# modes and thread counts, zero steady-state payload allocations, the shard
-# path actually engaging); wall-clock checks are skipped in smoke mode so
+# thread counts, zero steady-state payload allocations, threaded runs
+# actually splitting into shards); wall-clock checks are skipped in smoke mode so
 # this stays green on loaded single-core CI hosts. The artifact must parse.
 cmake --build --preset default -j"${jobs}" --target bench_runtime_scaling
 scaling_dir=$(mktemp -d /tmp/maxutil_scaling.XXXXXX)

@@ -514,10 +514,7 @@ DistributedGradientSystem::DistributedGradientSystem(
 
 void DistributedGradientSystem::install_partition() {
   const RuntimeOptions& opts = runtime_.options();
-  if (opts.partition != PartitionMode::kShard || opts.num_threads <= 1 ||
-      !opts.pooled_delivery || opts.faults.link_faults()) {
-    return;
-  }
+  if (opts.num_threads <= 1) return;  // the runtime's default: one shard
   // Weight each extended edge by the commodities that can route over it —
   // per wave, a node forwards one message per commodity per usable edge, so
   // the weighted edge cut is exactly the cross-shard message rate the

@@ -199,10 +199,9 @@ class NodeActor : public Actor {
 /// Gamma updates whose inputs are older than `max_staleness` waves.
 class DistributedGradientSystem {
  public:
-  /// `runtime_options` selects the execution engine (thread count,
-  /// deterministic merge, pooled delivery) and the fault plan; the computed
-  /// iterates are bit-identical for every thread count — see
-  /// tests/runtime_parallel_test.cpp and tests/fault_test.cpp.
+  /// `runtime_options` selects the execution engine (thread count) and the
+  /// fault plan; the computed iterates are bit-identical for every thread
+  /// count — see tests/runtime_parallel_test.cpp and tests/fault_test.cpp.
   explicit DistributedGradientSystem(const xform::ExtendedGraph& xg,
                                      core::GammaOptions gamma = {},
                                      RuntimeOptions runtime_options = {},
@@ -265,9 +264,8 @@ class DistributedGradientSystem {
   /// Installs a commodity-DAG-aware shard partition of the extended graph
   /// into the runtime (one shard per worker thread, edges weighted by the
   /// number of commodities that can route over them — a proxy for messages
-  /// per wave). No-op when the options rule sharding out (single thread,
-  /// chunked mode, legacy delivery, link faults); results are identical
-  /// either way.
+  /// per wave). No-op at one thread, where the runtime's default single
+  /// shard applies; results are identical for every partition.
   void install_partition();
   void marginal_wave();
   void forecast_wave();

@@ -10,16 +10,6 @@ namespace maxutil::sim {
 
 using maxutil::util::ensure;
 
-namespace {
-
-/// Actors per chunk during parallel stepping. Small enough to balance load
-/// across workers on skewed rounds, large enough that the per-chunk
-/// fetch_add is noise. Chunk boundaries never affect results: chunks are
-/// contiguous actor ranges and the merge walks them in ascending order.
-constexpr std::size_t kMinChunk = 16;
-
-}  // namespace
-
 void Outbox::send(ActorId to, int tag, std::size_t commodity,
                   std::span<const double> payload) {
   runtime_->record_send(*this, to, tag, commodity, payload);
@@ -28,29 +18,22 @@ void Outbox::send(ActorId to, int tag, std::size_t commodity,
 std::size_t Outbox::round() const { return runtime_->rounds(); }
 
 Runtime::Runtime(RuntimeOptions options)
-    : options_(std::move(options)), fault_rng_(options_.faults.seed) {
+    : options_(std::move(options)),
+      link_faults_(options_.faults.link_faults()),
+      fault_rng_(options_.faults.seed) {
   ensure(options_.num_threads >= 1, "Runtime: num_threads must be >= 1");
-  ensure(options_.pooled_delivery || options_.num_threads == 1,
-         "Runtime: legacy delivery is serial only");
   options_.faults.validate();
-  // Fault draws happen at the outbox merge; without the deterministic merge
-  // the worker-order shards would feed the RNG a schedule-dependent message
-  // order and the injected faults would vary run to run.
-  ensure(!options_.faults.link_faults() || options_.deterministic ||
-             options_.num_threads == 1,
-         "Runtime: fault injection with threads requires deterministic mode");
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.num_threads);
   }
-  payload_shards_.resize(pool_ ? pool_->thread_count() : 1);
   crash_fired_.assign(options_.faults.crashes.size(), 0);
   restart_fired_.assign(options_.faults.crashes.size(), 0);
   if (options_.observe && obs::kObsEnabled) {
     // One registry shard: parallel regions never touch the registry —
-    // they stage events into per-thread rings drained at the serial merge
-    // points (obs_sync_counters), so reads stay single-shard cheap.
+    // they stage events into per-shard rings (grown by set_partition)
+    // drained at the serial merge points (obs_sync_counters), so reads stay
+    // single-shard cheap.
     obs_ = std::make_unique<obs::Observability>(1);
-    obs_->rings.grow(payload_shards_.size());
     obs_register_metrics();
   }
 }
@@ -116,15 +99,16 @@ void Runtime::obs_sync_counters() {
 
 ActorId Runtime::add_actor(std::unique_ptr<Actor> actor) {
   ensure(actor != nullptr, "Runtime::add_actor: null actor");
-  ensure(!partition_active_,
-         "Runtime::add_actor: all actors must exist before set_partition");
+  ensure(shards_.empty(),
+         "Runtime::add_actor: all actors must exist before set_partition "
+         "and the first round");
   actors_raw_.push_back(actor.get());
   actors_.push_back(std::move(actor));
   failed_.push_back(0);
   return actors_.size() - 1;
 }
 
-bool Runtime::set_partition(std::vector<std::uint32_t> shard_of,
+void Runtime::set_partition(std::vector<std::uint32_t> shard_of,
                             std::size_t shards) {
   ensure(shards >= 1, "Runtime::set_partition: shards must be >= 1");
   ensure(shard_of.size() == actors_.size(),
@@ -132,10 +116,6 @@ bool Runtime::set_partition(std::vector<std::uint32_t> shard_of,
   ensure(quiet(), "Runtime::set_partition: messages are in flight");
   for (const std::uint32_t s : shard_of) {
     ensure(s < shards, "Runtime::set_partition: shard id out of range");
-  }
-  if (options_.partition != PartitionMode::kShard ||
-      !options_.pooled_delivery || options_.faults.link_faults()) {
-    return false;
   }
   const std::size_t n = actors_.size();
   shard_of_ = std::move(shard_of);
@@ -151,12 +131,25 @@ bool Runtime::set_partition(std::vector<std::uint32_t> shard_of,
     local_index_[id] = static_cast<std::uint32_t>(s.actors.size());
     s.actors.push_back(id);
   }
-  // One payload pool per shard (the chunked path sized these per worker),
-  // and one metric staging ring per shard to match.
+  // One payload pool and one metric staging ring per shard. Pools are
+  // only ever added, so a re-partition keeps every pooled buffer.
   if (payload_shards_.size() < shards) payload_shards_.resize(shards);
   if (obs_) obs_->rings.grow(shards);
-  partition_active_ = true;
-  return true;
+}
+
+void Runtime::ensure_partition() {
+  if (!shards_.empty()) return;
+  // Contiguous actor-id blocks, one per pool thread (a single shard when
+  // serial). Any assignment yields the same run, so this only has to be
+  // balanced; callers that know the message graph install a better cut.
+  const std::size_t n = actors_.size();
+  const std::size_t shards = std::max<std::size_t>(
+      1, std::min(pool_ ? pool_->thread_count() : 1, n));
+  std::vector<std::uint32_t> shard_of(n);
+  for (ActorId id = 0; id < n; ++id) {
+    shard_of[id] = static_cast<std::uint32_t>(id * shards / n);
+  }
+  set_partition(std::move(shard_of), shards);
 }
 
 void Runtime::fail(ActorId id) {
@@ -191,9 +184,9 @@ std::size_t Runtime::payload_pool_allocations() const {
   return total;
 }
 
-std::vector<double> Runtime::acquire_payload(std::size_t worker,
+std::vector<double> Runtime::acquire_payload(std::size_t shard_index,
                                              std::span<const double> data) {
-  PayloadShard& shard = payload_shards_[worker];
+  PayloadShard& shard = payload_shards_[shard_index];
   std::vector<double> buffer;
   if (!shard.free_list.empty()) {
     buffer = std::move(shard.free_list.back());
@@ -206,46 +199,40 @@ std::vector<double> Runtime::acquire_payload(std::size_t worker,
   return buffer;
 }
 
-void Runtime::recycle_payload(std::vector<double>&& payload) {
-  // Round-robin across worker shards so every thread's free list is
-  // replenished regardless of which worker consumed the buffer.
-  PayloadShard& shard =
-      payload_shards_[recycle_cursor_++ % payload_shards_.size()];
-  shard.free_list.push_back(std::move(payload));
-}
-
 void Runtime::schedule(Message message, std::size_t base, std::size_t extra) {
   if (extra == 0) {
-    pending_.push_back({rounds_ + base, std::move(message)});
+    shards_[shard_of_[message.to]].handoff.push_back(
+        {rounds_ + base, epoch_, std::move(message)});
   } else {
     ++fault_delayed_;
-    fault_deferred_.push_back({rounds_ + base + extra, std::move(message)});
+    fault_deferred_.push_back(
+        {rounds_ + base + extra, epoch_, std::move(message)});
   }
 }
 
 void Runtime::enqueue_now(Message message) {
-  ensure(message.to < actors_.size(), "Runtime: message to unknown actor");
   ++sent_messages_;
+  PayloadShard& home = payload_shards_[shard_of_[message.from]];
   if (failed_[message.from] || failed_[message.to]) {
     ++dropped_messages_;
-    if (options_.pooled_delivery) recycle_payload(std::move(message.payload));
+    home.free_list.push_back(std::move(message.payload));
     return;
   }
   const std::size_t base =
       delay_ ? std::max<std::size_t>(1, delay_(message.from, message.to)) : 1;
-  const FaultPlan& plan = options_.faults;
-  if (!plan.link_faults()) {
-    pending_.push_back({rounds_ + base, std::move(message)});
+  if (!link_faults_) {
+    schedule(std::move(message), base, 0);
     return;
   }
   // Fault injection. The per-message draw order is fixed — drop, extra
   // delay, duplicate, duplicate's extra delay — and this function only runs
   // on the serial merge path, so the RNG stream (and hence the fault
-  // pattern) is identical for every thread count.
+  // pattern) is identical for every thread count and partition.
+  const FaultPlan& plan = options_.faults;
   if (fault_rng_.chance(plan.drop_for(message.from, message.to))) {
     ++dropped_messages_;
     ++fault_dropped_;
-    if (options_.pooled_delivery) recycle_payload(std::move(message.payload));
+    home.free_list.push_back(std::move(message.payload));
     return;
   }
   std::size_t extra = 0;
@@ -263,9 +250,7 @@ void Runtime::enqueue_now(Message message) {
     copy.to = message.to;
     copy.tag = message.tag;
     copy.commodity = message.commodity;
-    copy.payload = options_.pooled_delivery
-                       ? acquire_payload(0, message.payload)
-                       : message.payload;
+    copy.payload = acquire_payload(shard_of_[message.from], message.payload);
     if (plan.delay_max > 0) {
       copy_extra = static_cast<std::size_t>(
           fault_rng_.uniform_int(static_cast<std::int64_t>(plan.delay_min),
@@ -282,36 +267,8 @@ void Runtime::enqueue_now(Message message) {
 void Runtime::record_send(const Outbox& outbox, ActorId to, int tag,
                           std::size_t commodity,
                           std::span<const double> payload) {
-  if (outbox.slot_ == kShardSlot) {
-    record_send_partitioned(outbox, to, tag, commodity, payload);
-    return;
-  }
-  if (!options_.pooled_delivery) {
-    // Legacy path: a fresh heap payload per send, queued immediately.
-    enqueue_now({outbox.self_, to, tag, commodity,
-                 std::vector<double>(payload.begin(), payload.end())});
-    return;
-  }
-  Message message;
-  message.from = outbox.self_;
-  message.to = to;
-  message.tag = tag;
-  message.commodity = commodity;
-  message.payload = acquire_payload(outbox.worker_, payload);
-  if (outbox.slot_ == kDirectSlot) {
-    enqueue_now(std::move(message));
-  } else {
-    // Parallel context: defer validation, failure filtering, and due
-    // stamping to the serial merge — shard state is all this touches.
-    outbox_shards_[outbox.slot_].sends.push_back(std::move(message));
-  }
-}
-
-void Runtime::record_send_partitioned(const Outbox& outbox, ActorId to,
-                                      int tag, std::size_t commodity,
-                                      std::span<const double> payload) {
   ensure(to < actors_.size(), "Runtime: message to unknown actor");
-  const std::size_t src_shard = outbox.worker_;
+  const std::size_t src_shard = outbox.shard_;
   Shard& s = shards_[src_shard];
   Message message;
   message.from = outbox.self_;
@@ -319,9 +276,10 @@ void Runtime::record_send_partitioned(const Outbox& outbox, ActorId to,
   message.tag = tag;
   message.commodity = commodity;
   message.payload = acquire_payload(src_shard, payload);
-  if (shard_of_[to] != src_shard) {
-    // Cross-shard: fate (count, failure filter, due stamp) is decided at
-    // the serial merge so the canonical global sender order is preserved.
+  if (link_faults_ || shard_of_[to] != src_shard) {
+    // Cross-shard, or any send under link faults: fate (count, failure
+    // filter, fault draws, due stamp) is decided at the serial merge so
+    // the canonical global sender order is preserved.
     s.cross.push_back(std::move(message));
     return;
   }
@@ -355,8 +313,8 @@ void Runtime::shard_deliver(Shard& s) {
 
   // Pass 1 (order-free): count deliverable messages per owned recipient.
   std::size_t total = 0;
-  const auto count_queue = [&](const std::vector<ShardPending>& q) {
-    for (const ShardPending& p : q) {
+  const auto count_queue = [&](const std::vector<Pending>& q) {
+    for (const Pending& p : q) {
       if (p.due > rounds_) continue;
       if (failed_[p.message.from] || failed_[p.message.to]) continue;
       ++s.counts[local_index_[p.message.to]];
@@ -383,10 +341,10 @@ void Runtime::shard_deliver(Shard& s) {
   // sequence — hence each recipient sees the serial inbox, bit for bit.
   // Not-yet-due messages are compacted in place; failed-endpoint ones are
   // dropped here just as serial delivery would.
-  const auto advance = [&](std::vector<ShardPending>& q, std::size_t& r,
+  const auto advance = [&](std::vector<Pending>& q, std::size_t& r,
                            std::size_t& w) -> bool {
     while (r < q.size()) {
-      ShardPending& p = q[r];
+      Pending& p = q[r];
       if (p.due > rounds_) {
         if (w != r) q[w] = std::move(p);
         ++w;
@@ -409,8 +367,8 @@ void Runtime::shard_deliver(Shard& s) {
   while (lh || hh) {
     bool take_local;
     if (lh && hh) {
-      const ShardPending& a = s.local[lr];
-      const ShardPending& b = s.handoff[hr];
+      const Pending& a = s.local[lr];
+      const Pending& b = s.handoff[hr];
       take_local = a.epoch < b.epoch ||
                    (a.epoch == b.epoch && a.message.from < b.message.from);
     } else {
@@ -436,7 +394,7 @@ void Runtime::shard_step_round(Shard& s) {
   std::size_t steps = 0;
   for (const ActorId id : s.actors) {
     if (failed_[id]) continue;
-    Outbox out(*this, id, kShardSlot, s.index);
+    Outbox out(*this, id, s.index);
     actors_raw_[id]->on_round(
         out, std::span<const Message>(inbox_ptr_[id], inbox_len_[id]));
     ++steps;
@@ -450,7 +408,7 @@ void Runtime::shard_step_fn(
   std::size_t steps = 0;
   for (const ActorId id : s.actors) {
     if (failed_[id]) continue;
-    Outbox out(*this, id, kShardSlot, s.index);
+    Outbox out(*this, id, s.index);
     fn(id, *actors_raw_[id], out);
     ++steps;
   }
@@ -480,18 +438,7 @@ std::size_t Runtime::merge_cross_and_fold() {
       }
     }
     if (src == nullptr) break;
-    Message m = std::move(src->cross[src->cross_read++]);
-    ++sent_messages_;
-    if (failed_[m.from] || failed_[m.to]) {
-      ++dropped_messages_;
-      payload_shards_[shard_of_[m.from]].free_list.push_back(
-          std::move(m.payload));
-      continue;
-    }
-    const std::size_t base =
-        delay_ ? std::max<std::size_t>(1, delay_(m.from, m.to)) : 1;
-    shards_[shard_of_[m.to]].handoff.push_back(
-        {rounds_ + base, epoch_, std::move(m)});
+    enqueue_now(std::move(src->cross[src->cross_read++]));
   }
 
   // Route cross-delivered payloads back to their home pools (exact
@@ -522,15 +469,15 @@ std::size_t Runtime::merge_cross_and_fold() {
   return delivered;
 }
 
-std::size_t Runtime::partitioned_queued() const {
+std::size_t Runtime::queued() const {
   std::size_t total = 0;
   for (const Shard& s : shards_) total += s.local.size() + s.handoff.size();
   return total;
 }
 
-std::size_t Runtime::run_round_partitioned() {
+std::size_t Runtime::step_round() {
   const bool parallel = pool_ != nullptr && shards_.size() > 1 &&
-                        partitioned_queued() >= options_.serial_cutoff;
+                        queued() >= options_.serial_cutoff;
   ++epoch_;
   if (parallel) {
     pool_->run_chunks(shards_.size(), [this](std::size_t, std::size_t si) {
@@ -574,9 +521,10 @@ std::size_t Runtime::run_round_partitioned() {
   return delivered;
 }
 
-void Runtime::step_partitioned(
+void Runtime::step_live_actors(
     const std::function<void(ActorId, Actor&, Outbox&)>& fn,
     std::size_t work_hint) {
+  ensure_partition();
   ++epoch_;
   const bool parallel = pool_ != nullptr && shards_.size() > 1 &&
                         work_hint >= options_.serial_cutoff;
@@ -599,201 +547,9 @@ void Runtime::step_partitioned(
   }
 }
 
-std::size_t Runtime::deliver_due() {
-  const std::size_t n = actors_.size();
-  inbox_cursor_.assign(n, 0);
-
-  // Pass 1: count deliverable messages per recipient (failed_ is stable
-  // within a round, so the drop decision repeats identically in pass 2).
-  std::size_t deliverable = 0;
-  for (const Pending& p : pending_) {
-    if (p.due > rounds_) continue;
-    if (failed_[p.message.from] || failed_[p.message.to]) continue;
-    ++inbox_cursor_[p.message.to];
-    ++deliverable;
-  }
-
-  inbox_offsets_.resize(n + 1);
-  std::size_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    inbox_offsets_[i] = acc;
-    acc += inbox_cursor_[i];
-    inbox_cursor_[i] = inbox_offsets_[i];
-  }
-  inbox_offsets_[n] = acc;
-  inbox_messages_.resize(deliverable);
-
-  // Pass 2: stable scatter into the flat buffer (walking pending_ in queue
-  // order preserves per-recipient send order) and in-place compaction of
-  // the not-yet-due remainder.
-  std::size_t write = 0;
-  for (std::size_t r = 0; r < pending_.size(); ++r) {
-    Pending& p = pending_[r];
-    if (p.due > rounds_) {
-      if (write != r) pending_[write] = std::move(p);
-      ++write;
-      continue;
-    }
-    Message& m = p.message;
-    if (failed_[m.from] || failed_[m.to]) {
-      ++dropped_messages_;
-      recycle_payload(std::move(m.payload));
-      continue;
-    }
-    delivered_payload_ += m.payload.size();
-    inbox_messages_[inbox_cursor_[m.to]++] = std::move(m);
-  }
-  pending_.resize(write);
-  delivered_messages_ += deliverable;
-  return deliverable;
-}
-
-std::span<const Message> Runtime::inbox_of(ActorId id) const {
-  if (partition_active_) {
-    return {inbox_ptr_[id], inbox_len_[id]};
-  }
-  const std::size_t begin = inbox_offsets_[id];
-  const std::size_t end = inbox_offsets_[id + 1];
-  return {inbox_messages_.data() + begin, end - begin};
-}
-
-void Runtime::step_live_actors(
-    const std::function<void(ActorId, Actor&, Outbox&)>& fn,
-    std::size_t work_hint) {
-  if (partition_active_) {
-    step_partitioned(fn, work_hint);
-    return;
-  }
-  const std::size_t n = actors_.size();
-  const bool parallel = pool_ != nullptr && n > 1 &&
-                        work_hint >= options_.serial_cutoff;
-  if (!parallel) {
-    std::size_t steps = 0;
-    for (ActorId id = 0; id < n; ++id) {
-      if (failed_[id]) continue;
-      Outbox out(*this, id, kDirectSlot, 0);
-      fn(id, *actors_[id], out);
-      ++steps;
-    }
-    if (obs_) {
-      if (steps != 0) obs_->metrics.add(obs_ids_.actor_steps, steps);
-      obs_sync_counters();
-    }
-    return;
-  }
-
-  const std::size_t chunk = std::max<std::size_t>(
-      kMinChunk, n / (pool_->thread_count() * 8));
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  const std::size_t slots =
-      options_.deterministic ? num_chunks : pool_->thread_count();
-  if (outbox_shards_.size() < slots) outbox_shards_.resize(slots);
-
-  pool_->run_chunks(num_chunks, [&](std::size_t worker, std::size_t c) {
-    const ActorId begin = c * chunk;
-    const ActorId end = std::min<ActorId>(n, begin + chunk);
-    const std::size_t slot = options_.deterministic ? c : worker;
-    std::size_t steps = 0;
-    for (ActorId id = begin; id < end; ++id) {
-      if (failed_[id]) continue;
-      Outbox out(*this, id, slot, worker);
-      fn(id, *actors_[id], out);
-      ++steps;
-    }
-    // One event staged on this worker's ring per chunk; drained below at
-    // the serial merge point.
-    if (obs_ && steps != 0) {
-      obs_->rings.add(worker, obs_ids_.actor_steps, steps);
-    }
-  });
-
-  // Deterministic merge: walking the shards in slot order replays the
-  // serial (actor id, send order) sequence exactly — chunk slots are
-  // contiguous ascending actor ranges whatever the thread count was.
-  std::chrono::steady_clock::time_point merge_start;
-  if (obs_) merge_start = std::chrono::steady_clock::now();
-  for (OutboxShard& shard : outbox_shards_) {
-    for (Message& message : shard.sends) enqueue_now(std::move(message));
-    shard.sends.clear();
-  }
-  if (obs_) {
-    total_merge_seconds_ += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - merge_start)
-                                .count();
-    obs_sync_counters();
-  }
-}
-
 void Runtime::for_each_live_actor(
     const std::function<void(ActorId, Actor&, Outbox&)>& fn) {
   step_live_actors(fn, actors_.size());
-}
-
-std::size_t Runtime::run_round_pooled() {
-  std::chrono::steady_clock::time_point t0, t1;
-  if (obs_) t0 = std::chrono::steady_clock::now();
-  const std::size_t delivered = deliver_due();
-  if (obs_) {
-    t1 = std::chrono::steady_clock::now();
-    total_deliver_seconds_ += std::chrono::duration<double>(t1 - t0).count();
-  }
-  const double merge_before = total_merge_seconds_;
-  step_live_actors(
-      [this](ActorId id, Actor& actor, Outbox& out) {
-        actor.on_round(out, inbox_of(id));
-      },
-      delivered);
-  if (obs_) {
-    // step_live_actors times its own outbox merge; subtracting that share
-    // keeps deliver/step/merge disjoint phases of the round.
-    total_step_seconds_ += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t1)
-                               .count() -
-                           (total_merge_seconds_ - merge_before);
-  }
-  // The round's inboxes are dead; feed their payload buffers back to the
-  // worker pools for next round's sends.
-  for (Message& message : inbox_messages_) {
-    recycle_payload(std::move(message.payload));
-  }
-  inbox_messages_.clear();
-  return delivered;
-}
-
-std::size_t Runtime::run_round_legacy() {
-  // The original serial delivery, preserved verbatim as the A/B baseline:
-  // rebuilds a vector<vector<Message>> of inboxes every round.
-  std::vector<Message> batch;
-  std::vector<Pending> later;
-  later.reserve(pending_.size());
-  for (auto& p : pending_) {
-    if (p.due <= rounds_) {
-      batch.push_back(std::move(p.message));
-    } else {
-      later.push_back(std::move(p));
-    }
-  }
-  pending_ = std::move(later);
-
-  std::vector<std::vector<Message>> inboxes(actors_.size());
-  std::size_t delivered = 0;
-  for (auto& m : batch) {
-    if (failed_[m.to] || failed_[m.from]) {
-      ++dropped_messages_;
-      continue;
-    }
-    ++delivered;
-    delivered_payload_ += m.payload.size();
-    inboxes[m.to].push_back(std::move(m));
-  }
-  delivered_messages_ += delivered;
-
-  for (ActorId id = 0; id < actors_.size(); ++id) {
-    if (failed_[id]) continue;
-    Outbox out(*this, id, kDirectSlot, 0);
-    actors_[id]->on_round(out, inboxes[id]);
-  }
-  return delivered;
 }
 
 void Runtime::release_fault_deferred() {
@@ -802,7 +558,9 @@ void Runtime::release_fault_deferred() {
   for (std::size_t r = 0; r < fault_deferred_.size(); ++r) {
     Pending& p = fault_deferred_[r];
     if (p.due <= rounds_) {
-      pending_.push_back(std::move(p));
+      // Link faults are on, so `local` is empty and appending keeps each
+      // handoff queue in serial enqueue order.
+      shards_[shard_of_[p.message.to]].handoff.push_back(std::move(p));
     } else {
       if (write != r) fault_deferred_[write] = std::move(p);
       ++write;
@@ -850,12 +608,10 @@ std::size_t Runtime::run_round() {
   const std::size_t span =
       obs_ ? obs_->tracer.begin_span("round", "runtime", kObsRoundTrack)
            : obs::Tracer::kDroppedSpan;
+  ensure_partition();
   if (!options_.faults.crashes.empty()) apply_crash_schedule();
   release_fault_deferred();
-  const std::size_t delivered = !options_.pooled_delivery
-                                    ? run_round_legacy()
-                                : partition_active_ ? run_round_partitioned()
-                                                    : run_round_pooled();
+  const std::size_t delivered = step_round();
   last_round_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

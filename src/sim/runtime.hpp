@@ -33,72 +33,37 @@ struct Message {
   std::vector<double> payload;
 };
 
-/// How parallel rounds divide actors across workers.
-enum class PartitionMode {
-  /// Contiguous actor-id chunks claimed dynamically (the pre-sharding
-  /// behavior). Every send crosses the serial merge point and every round
-  /// rebuilds one global inbox — kept as the A/B reference.
-  kChunked,
-  /// Graph-aware shards installed via Runtime::set_partition: one task per
-  /// shard, per-shard inboxes, queues, and payload pools. Intra-shard
-  /// messages never cross a lock or touch another shard's memory; only the
-  /// (edge-cut-minimized) cross-shard traffic goes through the serial
-  /// merge. Falls back to kChunked until a partition is installed.
-  kShard,
-};
-
-/// Execution knobs for the runtime. The default is the fully serial,
-/// pooled-delivery path; benches and large instances raise `num_threads`.
+/// Execution knobs for the runtime. The default is one serial shard;
+/// benches and large instances raise `num_threads`.
 struct RuntimeOptions {
-  /// Worker threads stepping actors within a round (the calling thread
+  /// Worker threads stepping shards within a round (the calling thread
   /// included). 1 = serial. Results are bit-identical for every value: actor
-  /// steps are data-independent within a round and sends are merged in
-  /// (actor id, send order) sequence regardless of scheduling.
+  /// steps are data-independent within a round and every shard queue is
+  /// merged in (epoch, sender, send order) sequence regardless of
+  /// scheduling.
   std::size_t num_threads = 1;
 
-  /// When true (default), parallel rounds write sends into per-chunk
-  /// outboxes merged in chunk order — reproducible across runs and thread
-  /// counts. When false, sends are sharded per worker thread and merged in
-  /// worker order, which saves a few outbox buffers but lets the dynamic
-  /// chunk schedule leak into message order. Serial runs are always
-  /// deterministic.
-  bool deterministic = true;
-
-  /// When false, uses the legacy delivery path of the original serial
-  /// runtime: per-round `vector<vector<Message>>` inbox rebuild and a fresh
-  /// heap payload per send. Kept as the A/B reference for
-  /// bench_runtime_scaling and the equivalence tests; forces num_threads=1.
-  bool pooled_delivery = true;
-
-  /// Rounds delivering fewer messages than this are stepped serially even
-  /// when a thread pool exists (identical results either way — this only
-  /// skips dispatch overhead on near-empty wave-tail rounds).
+  /// Rounds with fewer queued messages than this (kickoffs: fewer actors)
+  /// are stepped serially even when a thread pool exists (identical results
+  /// either way — this only skips dispatch overhead on near-empty
+  /// wave-tail rounds).
   std::size_t serial_cutoff = 64;
-
-  /// Partitioning strategy for parallel rounds; see PartitionMode. The
-  /// shard mode only takes effect once a caller installs an assignment via
-  /// set_partition (DistributedGradientSystem does, from an edge-cut
-  /// partition of the extended graph); results are bit-identical either
-  /// way and across shard counts — only throughput changes.
-  PartitionMode partition = PartitionMode::kShard;
 
   /// Seeded fault-injection plan (drop/delay/duplicate/crash — see
   /// sim/fault.hpp and docs/RUNTIME.md). Default-constructed = no faults;
-  /// the runtime then takes its fault-free fast path untouched. Faults are
-  /// drawn at the serial outbox-merge point, so an active plan with
-  /// num_threads > 1 requires `deterministic` (enforced in the ctor) and
-  /// stays bit-identical across thread counts.
+  /// the runtime then takes its fault-free fast path untouched. Link faults
+  /// are drawn at the serial shard merge, in canonical sender order, so a
+  /// faulted run stays bit-identical across thread counts and partitions.
   FaultPlan faults;
 
   /// When true (and the build did not define MAXUTIL_OBS_OFF), the runtime
   /// allocates an obs::Observability and records metrics (message/fault
   /// counters, queue depth, per-round delivery and wall-time histograms,
-  /// actor steps staged in per-thread rings) plus trace spans (one per
-  /// round, fault
-  /// instants for crash/restart). Observation is read-only: the computed
-  /// messages and actor states are bit-identical with it on or off, for
-  /// every thread count (tests/property_test.cpp pins this). Off (the
-  /// default) costs one null-pointer branch per round and per merge.
+  /// actor steps staged in per-shard rings) plus trace spans (one per
+  /// round, fault instants for crash/restart). Observation is read-only:
+  /// the computed messages and actor states are bit-identical with it on or
+  /// off, for every thread count (tests/property_test.cpp pins this). Off
+  /// (the default) costs one null-pointer branch per round and per merge.
   bool observe = false;
 };
 
@@ -120,8 +85,7 @@ struct QuietResult {
 class Runtime;
 
 /// Send-side interface handed to an actor during its turn. Bound to the
-/// executing worker's payload pool and to the outbox shard that keeps the
-/// deterministic merge order.
+/// sender's shard, whose payload pool and queues the send touches.
 class Outbox {
  public:
   /// Queues a message for delivery at the start of the next round (or later
@@ -142,13 +106,12 @@ class Outbox {
 
  private:
   friend class Runtime;
-  Outbox(Runtime& runtime, ActorId self, std::size_t slot, std::size_t worker)
-      : runtime_(&runtime), self_(self), slot_(slot), worker_(worker) {}
+  Outbox(Runtime& runtime, ActorId self, std::size_t shard)
+      : runtime_(&runtime), self_(self), shard_(shard) {}
 
   Runtime* runtime_;
   ActorId self_;
-  std::size_t slot_;    // outbox shard index; kDirectSlot = straight to queue
-  std::size_t worker_;  // payload-pool shard of the executing thread
+  std::size_t shard_;  // the sender's shard (queues and payload pool)
 };
 
 /// A node in the simulated distributed system. Actors communicate only
@@ -169,37 +132,35 @@ class Actor {
 /// counters back the Section-6 comparison of per-iteration message
 /// complexity (O(L) marginal-cost waves vs O(1) buffer-level exchanges).
 ///
-/// Throughput architecture (see DESIGN.md §7): actor steps within a round
-/// are data-independent, so they are sharded across a thread pool; each
-/// chunk writes sends into its own outbox, merged afterwards in chunk (=
-/// actor id) order so runs are reproducible regardless of thread count.
-/// Delivery uses a counting-sort flat buffer — per-actor offsets into one
-/// contiguous Message array reused across rounds — and payload vectors are
-/// recycled through per-worker free lists, so steady-state rounds allocate
-/// nothing per message.
+/// Throughput architecture (see DESIGN.md §7): actors are split into
+/// shards, one pool task per shard. Each shard owns its queues, a
+/// counting-sort inbox arena reused across rounds, and a payload free list,
+/// so steady-state rounds allocate nothing per message. Sends that leave
+/// their shard (every send, under link faults) are merged serially in
+/// ascending sender order, which keeps runs reproducible regardless of
+/// thread count or partition.
 class Runtime {
  public:
   Runtime() : Runtime(RuntimeOptions{}) {}
   explicit Runtime(RuntimeOptions options);
 
   /// Registers an actor; returns its id (dense, in add order). Must precede
-  /// set_partition.
+  /// set_partition and the first round or kickoff.
   ActorId add_actor(std::unique_ptr<Actor> actor);
 
   /// Installs a shard assignment (`shard_of[id]` = owning shard of actor
-  /// id, values < `shards`) and switches the runtime to the partitioned
-  /// execution path: per-shard pending queues, inboxes, and payload pools,
-  /// with cross-shard sends batched and merged serially in canonical sender
-  /// order (see docs/RUNTIME.md). Requires quiescence (install before the
-  /// first send). Returns false — leaving the chunked path active — when
-  /// the options rule sharding out: PartitionMode::kChunked, legacy
-  /// delivery, or link-fault injection (whose RNG draws need the single
-  /// serial enqueue stream). Delivery order, results, and counters are
-  /// bit-identical for every assignment and shard count.
-  bool set_partition(std::vector<std::uint32_t> shard_of, std::size_t shards);
+  /// id, values < `shards`): per-shard pending queues, inboxes, and payload
+  /// pools, with cross-shard sends batched and merged serially in canonical
+  /// sender order (see docs/RUNTIME.md). Requires quiescence (install
+  /// before the first send). Without a call, the first round or kickoff
+  /// installs the default: one shard at num_threads == 1, else contiguous
+  /// actor-id blocks, one per thread. Delivery order, results, and counters
+  /// are bit-identical for every assignment and shard count.
+  void set_partition(std::vector<std::uint32_t> shard_of, std::size_t shards);
 
-  /// True once set_partition has installed an assignment.
-  bool partitioned() const { return partition_active_; }
+  /// Shards of the installed partition; 0 until set_partition or the first
+  /// round or kickoff installs one.
+  std::size_t shard_count() const { return shards_.size(); }
 
   /// Installs a heterogeneous link-delay model: a message from `a` to `b`
   /// takes `delay(a, b)` rounds (values < 1 are clamped to 1). Default is a
@@ -238,7 +199,7 @@ class Runtime {
                               bool strict = true);
 
   /// True when no messages are in flight — neither queued for delivery
-  /// (globally or in any shard) nor parked in the fault injector's delay
+  /// in any shard nor parked in the fault injector's delay
   /// buffer. Counting the delayed messages matters: without them,
   /// run_until_quiet(strict=false) could report quiescence while a
   /// fault-delayed message was still due to arrive, and its late delivery
@@ -247,7 +208,7 @@ class Runtime {
 
   /// Messages currently in flight (queued + fault-delayed).
   std::size_t in_flight_messages() const {
-    std::size_t total = pending_.size() + fault_deferred_.size();
+    std::size_t total = fault_deferred_.size();
     for (const Shard& s : shards_) {
       total += s.local.size() + s.handoff.size();
     }
@@ -263,8 +224,8 @@ class Runtime {
 
   // --- Counters (cumulative) ---
   std::size_t rounds() const { return rounds_; }
-  /// Messages accepted at the serial merge point (enqueue_now) — before
-  /// failure filtering and fault draws. Conservation law, checked by
+  /// Messages accepted by the runtime — before failure filtering and fault
+  /// draws. Conservation law, checked by
   /// tests/property_test.cpp: sent + fault_duplicated ==
   /// delivered + dropped + in_flight.
   std::size_t sent_messages() const { return sent_messages_; }
@@ -290,8 +251,8 @@ class Runtime {
   /// Wall-clock seconds spent inside run_round (cumulative / last round).
   double total_round_seconds() const { return total_round_seconds_; }
   double last_round_seconds() const { return last_round_seconds_; }
-  /// Per-phase wall-clock breakdown of the pooled round loop (delivery
-  /// scatter / actor stepping / outbox merge). Accumulated only while
+  /// Per-phase wall-clock breakdown of the round loop (delivery scatter /
+  /// actor stepping / cross-shard merge). Accumulated only while
   /// observing — zero otherwise, so the off path pays no clock reads.
   double total_deliver_seconds() const { return total_deliver_seconds_; }
   double total_step_seconds() const { return total_step_seconds_; }
@@ -320,20 +281,16 @@ class Runtime {
  private:
   friend class Outbox;
 
+  /// A queued message. `epoch` is the stepping sweep that produced it:
+  /// sweeps are serially numbered, and within a sweep every queue receives
+  /// sends in ascending sender order, so each shard queue is totally
+  /// ordered by (epoch, message.from). Delivery is a two-way merge of the
+  /// shard's queues on that key — which replays the serial global enqueue
+  /// order exactly (the two queues split senders by shard, so keys never
+  /// tie across them). Under link faults `local` stays empty and the
+  /// `handoff` queue alone is the serial order.
   struct Pending {
     std::size_t due;  // first round in which the message may be delivered
-    Message message;
-  };
-
-  /// A queued message in partitioned mode. `epoch` is the stepping sweep
-  /// that produced it: sweeps are serially numbered, and within a sweep
-  /// every queue receives sends in ascending sender order, so each shard
-  /// queue is totally ordered by (epoch, message.from). Delivery is a
-  /// two-way merge of the shard's queues on that key — which replays the
-  /// serial runtime's global enqueue order exactly (the two queues split
-  /// senders by shard, so keys never tie across them).
-  struct ShardPending {
-    std::size_t due;
     std::size_t epoch;
     Message message;
   };
@@ -341,8 +298,7 @@ class Runtime {
   /// A payload buffer recycled by a shard that did not acquire it (a
   /// cross-shard delivery). Routed back to the sender's shard pool at the
   /// serial merge point, so every pool's level is conserved and steady
-  /// state allocates nothing — the exact-balance fix for the threads>1
-  /// pool leak.
+  /// state allocates nothing.
   struct PayloadReturn {
     ActorId from;
     std::vector<double> payload;
@@ -356,13 +312,14 @@ class Runtime {
     std::uint32_t index = 0;
     std::vector<ActorId> actors;  // owned actor ids, ascending
 
-    // Pending queues, both (epoch, sender)-ordered: `local` is fed by this
-    // shard's own stepping, `handoff` by the serial cross-shard merge.
-    std::vector<ShardPending> local;
-    std::vector<ShardPending> handoff;
+    // Pending queues: `local` is fed by this shard's own stepping,
+    // `handoff` by the serial merge (cross-shard sends, and every send
+    // under link faults, plus released fault-delayed messages).
+    std::vector<Pending> local;
+    std::vector<Pending> handoff;
 
     std::vector<Message> inbox;  // this round's deliveries, counting-sorted
-    std::vector<Message> cross;  // outgoing cross-shard sends (asc. sender)
+    std::vector<Message> cross;  // sends for the serial merge (asc. sender)
     std::size_t cross_read = 0;  // k-way merge cursor into `cross`
     std::vector<PayloadReturn> returns;
     std::vector<std::size_t> counts;  // delivery scratch, |actors| entries
@@ -377,65 +334,40 @@ class Runtime {
     double step_seconds = 0.0;
   };
 
-  /// Per-worker recycle pool for payload vectors. Touched by exactly one
-  /// worker during parallel stepping; refilled round-robin in the serial
-  /// recycle phase at the end of each round.
+  /// Per-shard recycle pool for payload vectors. Touched only by its
+  /// shard's task during parallel stepping, and by the serial merge.
   struct PayloadShard {
     std::vector<std::vector<double>> free_list;
     std::size_t reuses = 0;
     std::size_t allocations = 0;
   };
 
-  /// Send buffer for one chunk (deterministic mode) or one worker.
-  struct OutboxShard {
-    std::vector<Message> sends;
-  };
-
-  static constexpr std::size_t kDirectSlot = static_cast<std::size_t>(-1);
-  /// Outbox slot marking the partitioned send path; the outbox's `worker_`
-  /// then carries the sender's shard index.
-  static constexpr std::size_t kShardSlot = static_cast<std::size_t>(-2);
-
+  /// Routes one send from the stepping sweep: intra-shard sends are
+  /// filtered, due-stamped, and queued entirely within the sender's shard;
+  /// cross-shard sends — and every send while link faults are on — are
+  /// buffered in `cross` for the serial merge.
   void record_send(const Outbox& outbox, ActorId to, int tag,
                    std::size_t commodity, std::span<const double> payload);
-  /// Validates, failure-filters, applies fault injection, stamps the due
-  /// round, and queues — the serial tail of every send path. All fault RNG
-  /// draws happen here, in the deterministic merge order, which is why a
-  /// faulted run is bit-identical across thread counts.
+  /// Serial merge tail of one buffered send: counts it, failure-filters,
+  /// applies fault injection, stamps the due round, and queues it. All
+  /// fault RNG draws happen here, in canonical sender order, which is why
+  /// a faulted run is bit-identical across thread counts and partitions.
   void enqueue_now(Message message);
   /// Queues `message` due in `base + extra` rounds: messages with no fault
-  /// delay (extra == 0) go straight to pending_, fault-delayed ones to the
-  /// fault_deferred_ holding buffer.
+  /// delay (extra == 0) go straight to the recipient shard's handoff queue,
+  /// fault-delayed ones to the fault_deferred_ holding buffer.
   void schedule(Message message, std::size_t base, std::size_t extra);
-  /// Moves now-due fault-delayed messages into pending_ (start of round).
+  /// Moves now-due fault-delayed messages into their recipient shard's
+  /// handoff queue (start of round).
   void release_fault_deferred();
   /// Triggers crash/restart windows whose round has arrived (start of
   /// round).
   void apply_crash_schedule();
-  std::vector<double> acquire_payload(std::size_t worker,
+  std::vector<double> acquire_payload(std::size_t shard,
                                       std::span<const double> data);
-  void recycle_payload(std::vector<double>&& payload);
+  /// Installs the default partition unless one is already installed.
+  void ensure_partition();
 
-  /// Counting-sort delivery of due messages into the flat inbox buffer;
-  /// compacts pending_ in place. Returns messages delivered.
-  std::size_t deliver_due();
-  std::span<const Message> inbox_of(ActorId id) const;
-  /// Runs `fn` over live actors, serially or chunked over the pool, and
-  /// merges recorded sends in deterministic order. `work_hint` gates the
-  /// serial cutoff.
-  void step_live_actors(
-      const std::function<void(ActorId, Actor&, Outbox&)>& fn,
-      std::size_t work_hint);
-  std::size_t run_round_pooled();
-  std::size_t run_round_legacy();
-
-  // --- Partitioned path (active iff partition_active_) ---
-  /// Routes one send from the partitioned stepping path: intra-shard sends
-  /// are filtered, due-stamped, and queued entirely within the sender's
-  /// shard; cross-shard sends are buffered for the serial merge.
-  void record_send_partitioned(const Outbox& outbox, ActorId to, int tag,
-                               std::size_t commodity,
-                               std::span<const double> payload);
   /// Returns a delivered payload to its home pool: the sender's own shard
   /// pool directly, or `s.returns` when the sender lives elsewhere.
   void release_payload(ActorId from, std::vector<double>&& payload, Shard& s);
@@ -450,27 +382,32 @@ class Runtime {
                      const std::function<void(ActorId, Actor&, Outbox&)>& fn);
   /// Recycles the shard's dead inbox payloads after stepping.
   void shard_recycle(Shard& s);
-  /// Serial tail of every partitioned sweep: k-way merges the cross-shard
-  /// buffers in ascending global sender order into the destination handoff
-  /// queues (counting + failure-filtering each message exactly as the
-  /// serial enqueue would), routes payload returns home, and folds the
-  /// per-shard tallies into the global counters. Returns messages
-  /// delivered this sweep (from the folded tallies).
+  /// Serial tail of every sweep: k-way merges the `cross` buffers in
+  /// ascending global sender order through enqueue_now, routes payload
+  /// returns home, and folds the per-shard tallies into the global
+  /// counters. Returns messages delivered this sweep (from the folded
+  /// tallies).
   std::size_t merge_cross_and_fold();
   /// Queued messages across all shard queues (the parallel-cutoff hint).
-  std::size_t partitioned_queued() const;
-  std::size_t run_round_partitioned();
-  void step_partitioned(const std::function<void(ActorId, Actor&, Outbox&)>& fn,
-                        std::size_t work_hint);
+  std::size_t queued() const;
+  /// Delivers, steps, and recycles every shard, then merges.
+  std::size_t step_round();
+  /// Runs `fn` over live actors and merges their sends. `work_hint` gates
+  /// the serial cutoff.
+  void step_live_actors(
+      const std::function<void(ActorId, Actor&, Outbox&)>& fn,
+      std::size_t work_hint);
 
   /// Registers the runtime's metric catalog (ctor, observe path only).
   void obs_register_metrics();
-  /// Pushes counter deltas into the registry and drains the per-thread
+  /// Pushes counter deltas into the registry and drains the per-shard
   /// staging rings — called at the serial merge points (end of
   /// step_live_actors / round).
   void obs_sync_counters();
 
   RuntimeOptions options_;
+  /// options_.faults.link_faults(), read once per send.
+  bool link_faults_ = false;
   std::unique_ptr<util::ThreadPool> pool_;
 
   std::vector<std::unique_ptr<Actor>> actors_;
@@ -479,9 +416,8 @@ class Runtime {
   // (vector<bool> bit ops are too slow for the per-message filter).
   std::vector<Actor*> actors_raw_;
   std::vector<std::uint8_t> failed_;
-  std::vector<Pending> pending_;
-  /// Fault-delayed messages not yet due; kept out of pending_ so the
-  /// per-round delivery scan stays proportional to near-term traffic.
+  /// Fault-delayed messages not yet due; kept out of the shard queues so
+  /// the per-round delivery scan stays proportional to near-term traffic.
   std::vector<Pending> fault_deferred_;
   std::function<std::size_t(ActorId, ActorId)> delay_;
   util::Rng fault_rng_;
@@ -490,26 +426,17 @@ class Runtime {
   std::vector<char> crash_fired_;
   std::vector<char> restart_fired_;
 
-  // Flat delivery buffers, reused across rounds.
-  std::vector<Message> inbox_messages_;
-  std::vector<std::size_t> inbox_offsets_;  // size actor_count() + 1
-  std::vector<std::size_t> inbox_cursor_;
-  std::vector<OutboxShard> outbox_shards_;
-  std::vector<PayloadShard> payload_shards_;
-  std::size_t recycle_cursor_ = 0;
-
-  // Partitioned-mode state (empty/inactive until set_partition).
-  std::vector<Shard> shards_;
+  std::vector<PayloadShard> payload_shards_;  // one per shard
+  std::vector<Shard> shards_;  // empty until a partition is installed
   std::vector<std::uint32_t> shard_of_;     // actor id -> shard
   std::vector<std::uint32_t> local_index_;  // actor id -> index in its shard
-  // SoA inbox views for partitioned delivery: per-actor span into the
-  // owning shard's inbox buffer, rewritten by that shard every round.
+  // SoA inbox views: per-actor span into the owning shard's inbox buffer,
+  // rewritten by that shard every round.
   std::vector<Message*> inbox_ptr_;
   std::vector<std::uint32_t> inbox_len_;
   /// Serial number of the current stepping sweep (rounds and kickoffs);
   /// bumped at the start of each sweep, it is the major delivery-order key.
   std::size_t epoch_ = 0;
-  bool partition_active_ = false;
 
   std::size_t rounds_ = 0;
   std::size_t sent_messages_ = 0;

@@ -14,11 +14,8 @@
 #include "sim/fault.hpp"
 #include "solver/adapters.hpp"
 #include "solver/registry.hpp"
-#include "util/check.hpp"
 
 namespace maxutil::solver {
-
-using maxutil::util::ensure;
 
 namespace {
 
@@ -83,13 +80,6 @@ SolveResult solve_distributed(const Problem& problem,
       options.threads == 0
           ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
           : options.threads;
-  if (options.partition == "chunked") {
-    ropts.partition = sim::PartitionMode::kChunked;
-  } else {
-    ensure(options.partition == "shard",
-           "distributed solver: partition must be 'shard' or 'chunked'");
-    ropts.partition = sim::PartitionMode::kShard;
-  }
   const std::string faults = options.extra_text("faults", "");
   if (!faults.empty()) ropts.faults = sim::parse_fault_spec(faults);
   ropts.observe = options.observe;

@@ -55,6 +55,7 @@ bool Pipeline::any_stage(bool SolverInfo::* capability) const {
 SolveResult Pipeline::run(const Problem& problem,
                           const SolveOptions& options) const {
   SolveResult result;
+  double wall_seconds = 0.0;
   std::vector<StageSummary> summaries;
   std::vector<std::string> warnings;
   std::optional<core::RoutingState> carry;
@@ -79,12 +80,14 @@ SolveResult Pipeline::run(const Problem& problem,
     }
     summaries.push_back({stage, result.status, result.utility,
                          result.iterations, result.wall_seconds});
+    wall_seconds += result.wall_seconds;
     for (const std::string& w : result.warnings) {
       warnings.push_back(stage + ": " + w);
     }
     if (!is_usable(result.status)) break;
     if (result.routing.has_value()) carry = result.routing;
   }
+  result.wall_seconds = wall_seconds;
   result.stages = std::move(summaries);
   if (stages_.size() > 1) result.warnings = std::move(warnings);
   return result;

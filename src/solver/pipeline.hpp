@@ -38,9 +38,10 @@ class Pipeline {
   bool any_stage(bool SolverInfo::* capability) const;
 
   /// Runs the stages in order. The returned result is the last completed
-  /// stage's, with `stages` filled with every stage's summary and
-  /// `warnings` accumulated across stages; a stage with a non-usable status
-  /// stops the chain (its result is returned).
+  /// stage's, with `stages` filled with every stage's summary, `warnings`
+  /// accumulated across stages, and `wall_seconds` the sum over every stage
+  /// that ran; a stage with a non-usable status stops the chain (its result
+  /// is returned).
   SolveResult run(const Problem& problem,
                   const SolveOptions& options = {}) const;
 

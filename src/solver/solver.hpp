@@ -66,13 +66,6 @@ struct SolveOptions {
   /// 0 = all hardware threads.
   std::size_t threads = 1;
 
-  /// Parallel partitioning strategy for the distributed runtime: "shard"
-  /// (default — graph-aware shard partition, per-shard queues and pools)
-  /// or "chunked" (contiguous actor-id chunks, the pre-sharding A/B
-  /// reference). Results are bit-identical either way; only throughput
-  /// changes. Ignored by backends without a parallel engine.
-  std::string partition = "shard";
-
   /// Seed for any backend-internal randomness (none of the current five
   /// draw from it directly; the fault injector's default seed comes from
   /// extra["faults"]). Kept in the shared contract so stochastic future
@@ -212,7 +205,7 @@ struct SolveResult {
   std::optional<ObsSnapshot> obs;
 
   /// Per-stage summaries when this result came from a Pipeline (the outer
-  /// fields are the last stage's).
+  /// fields are the last stage's, except wall_seconds: the stages' sum).
   std::vector<StageSummary> stages;
 
   /// Convenience: metrics lookup; fallback when absent.

@@ -313,14 +313,6 @@ TEST(FaultRuntime, ManualRestoreReopensTraffic) {
   EXPECT_EQ(receiver(runtime).received, 1u);
 }
 
-TEST(FaultRuntime, ThreadedInjectionRequiresDeterministicMerge) {
-  RuntimeOptions options;
-  options.num_threads = 2;
-  options.deterministic = false;
-  options.faults.drop = 0.1;
-  EXPECT_THROW(Runtime{options}, CheckError);
-}
-
 // --- Hardened distributed gradient under faults ---
 
 RuntimeOptions faulted(double drop, std::size_t delay, std::size_t threads) {
@@ -361,6 +353,8 @@ TEST(FaultGradient, BitIdenticalIteratesAcrossThreadCounts) {
     EXPECT_EQ(system.runtime().rounds(), reference.runtime().rounds());
     EXPECT_EQ(system.runtime().fault_dropped_messages(),
               reference.runtime().fault_dropped_messages());
+    // Link faults are drawn at the shard merge, so faulted runs shard too.
+    EXPECT_GT(system.runtime().shard_count(), 1u) << threads << " threads";
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the parallel deterministic runtime: thread-pool semantics,
-// flat-inbox ordering, payload-pool recycling, and bit-identical results
-// across thread counts and against the legacy (pre-parallel) delivery path.
+// inbox ordering, payload-pool recycling, and bit-identical results across
+// thread counts and shard partitions.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@ using maxutil::sim::ActorId;
 using maxutil::sim::DistributedGradientSystem;
 using maxutil::sim::Message;
 using maxutil::sim::Outbox;
-using maxutil::sim::PartitionMode;
 using maxutil::sim::QuietResult;
 using maxutil::sim::QuietStatus;
 using maxutil::sim::Runtime;
@@ -178,16 +177,9 @@ TEST(ParallelRuntime, RunUntilQuietStrictnessKnob) {
   EXPECT_THROW(rt.run_until_quiet(50), CheckError);
 }
 
-TEST(ParallelRuntime, LegacyModeRejectsThreads) {
-  RuntimeOptions options;
-  options.pooled_delivery = false;
-  options.num_threads = 2;
-  EXPECT_THROW(Runtime rt(options), CheckError);
-}
-
 /// Bit-identical allocations and utility trajectories across thread counts
-/// (1, 2, 8), against the legacy delivery path, and across several seeds —
-/// the determinism contract of the parallel runtime.
+/// (1, 2, 8) and several seeds — the determinism contract of the parallel
+/// runtime.
 TEST(ParallelRuntime, DeterministicAcrossThreadCountsAndSeeds) {
   constexpr std::size_t kIterations = 12;
   for (const std::uint64_t seed : {2007ull, 11ull, 42ull}) {
@@ -195,7 +187,7 @@ TEST(ParallelRuntime, DeterministicAcrossThreadCountsAndSeeds) {
     const auto net = maxutil::gen::random_instance({}, rng);
     const ExtendedGraph xg(net);
 
-    // Serial pooled reference trajectory.
+    // Serial reference trajectory: one shard, no thread pool.
     DistributedGradientSystem reference(xg);
     std::vector<double> reference_utilities;
     for (std::size_t i = 0; i < kIterations; ++i) {
@@ -203,70 +195,30 @@ TEST(ParallelRuntime, DeterministicAcrossThreadCountsAndSeeds) {
       reference_utilities.push_back(reference.utility());
     }
     const auto reference_routing = reference.routing_snapshot();
+    EXPECT_EQ(reference.runtime().shard_count(), 1u);
 
-    // The legacy delivery path pins the pre-parallel serial behavior.
-    RuntimeOptions legacy;
-    legacy.pooled_delivery = false;
-    DistributedGradientSystem legacy_system(xg, {}, legacy);
-    for (std::size_t i = 0; i < kIterations; ++i) {
-      legacy_system.iterate();
-      EXPECT_EQ(legacy_system.utility(), reference_utilities[i])
-          << "legacy diverged at iteration " << i << ", seed " << seed;
-    }
-    EXPECT_EQ(legacy_system.routing_snapshot().max_difference(
-                  reference_routing),
-              0.0);
-
-    // Both partitioning strategies, at both thread counts, must replay the
+    // Edge-cut shard partitions at both thread counts must replay the
     // serial trajectory exactly — the partition must be invisible in every
     // output.
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      for (const PartitionMode mode :
-           {PartitionMode::kShard, PartitionMode::kChunked}) {
-        RuntimeOptions options = threaded(threads);
-        options.partition = mode;
-        DistributedGradientSystem parallel(xg, {}, options);
-        const char* mode_name =
-            mode == PartitionMode::kShard ? "shard" : "chunked";
-        for (std::size_t i = 0; i < kIterations; ++i) {
-          parallel.iterate();
-          EXPECT_EQ(parallel.utility(), reference_utilities[i])
-              << threads << " threads (" << mode_name
-              << ") diverged at iteration " << i << ", seed " << seed;
-        }
-        EXPECT_EQ(
-            parallel.routing_snapshot().max_difference(reference_routing),
-            0.0)
-            << threads << " threads (" << mode_name << "), seed " << seed;
-        EXPECT_EQ(parallel.runtime().delivered_messages(),
-                  reference.runtime().delivered_messages());
-        EXPECT_EQ(parallel.runtime().delivered_payload_doubles(),
-                  reference.runtime().delivered_payload_doubles());
-        EXPECT_EQ(parallel.runtime().partitioned(),
-                  mode == PartitionMode::kShard)
-            << "shard mode must actually install a partition";
+      DistributedGradientSystem parallel(xg, {}, threaded(threads));
+      for (std::size_t i = 0; i < kIterations; ++i) {
+        parallel.iterate();
+        EXPECT_EQ(parallel.utility(), reference_utilities[i])
+            << threads << " threads diverged at iteration " << i
+            << ", seed " << seed;
       }
+      EXPECT_EQ(parallel.routing_snapshot().max_difference(reference_routing),
+                0.0)
+          << threads << " threads, seed " << seed;
+      EXPECT_EQ(parallel.runtime().delivered_messages(),
+                reference.runtime().delivered_messages());
+      EXPECT_EQ(parallel.runtime().delivered_payload_doubles(),
+                reference.runtime().delivered_payload_doubles());
+      EXPECT_GT(parallel.runtime().shard_count(), 1u)
+          << threads << " threads must actually run sharded";
     }
   }
-}
-
-/// Non-deterministic mode also computes correct results here (the gradient
-/// protocol is order-insensitive within a round: actors wait for all
-/// inputs), it just waives the message-order guarantee.
-TEST(ParallelRuntime, NonDeterministicModeStillConverges) {
-  Rng rng(2007);
-  const auto net = maxutil::gen::random_instance({}, rng);
-  const ExtendedGraph xg(net);
-  DistributedGradientSystem reference(xg);
-  reference.run(8);
-
-  RuntimeOptions options = threaded(4);
-  options.deterministic = false;
-  DistributedGradientSystem relaxed(xg, {}, options);
-  relaxed.run(8);
-  EXPECT_LT(relaxed.routing_snapshot().max_difference(
-                reference.routing_snapshot()),
-            1e-12);
 }
 
 /// After warmup, every payload buffer must come from the recycle free list:

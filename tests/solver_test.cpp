@@ -338,6 +338,21 @@ TEST(Pipeline, LpWarmStartConvergesInFewerIterationsThanColdStart) {
   EXPECT_GE(warm.utility, 0.99 * cold.utility);
 }
 
+TEST(Pipeline, WallSecondsSumsEveryStage) {
+  const auto net = figure1();
+  const solver::Problem problem(net);
+  solver::SolveOptions options;
+  options.eta = 0.1;
+  options.tolerance = 1e-4;
+  const auto result =
+      solver::Pipeline::parse("lp,gradient").run(problem, options);
+  ASSERT_TRUE(solver::is_usable(result.status));
+  ASSERT_EQ(result.stages.size(), 2u);
+  EXPECT_GT(result.stages[0].wall_seconds, 0.0);
+  EXPECT_EQ(result.wall_seconds,
+            result.stages[0].wall_seconds + result.stages[1].wall_seconds);
+}
+
 TEST(Pipeline, GradientSeedsTheDistributedRuntime) {
   const auto net = figure1();
   const solver::Problem problem(net);

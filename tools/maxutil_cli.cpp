@@ -71,7 +71,7 @@ int usage_to(std::FILE* out) {
       "       maxutil_cli solve <file> [--algo NAME[,NAME...]|help]"
       " [--compare] [--compare-json FILE]\n"
       "                            [--eta X] [--eps X] [--iters N] [--tol X]"
-      " [--threads T] [--partition shard|chunked]\n"
+      " [--threads T]\n"
       "                            [--faults SPEC] [--newton] [--report]"
       " [--metrics FILE] [--trace FILE]"
       " [--metrics-report]\n"
@@ -83,10 +83,6 @@ int usage_to(std::FILE* out) {
       "          --compare-json FILE additionally writes the table as JSON)\n"
       "         (--threads: actor-runtime workers for solvers with a"
       " parallel engine; 0 = all hardware threads)\n"
-      "         (--partition: how parallel rounds split actors — 'shard'"
-      " (graph-aware shards, default) or 'chunked'\n"
-      "          (contiguous id chunks, the A/B reference); results are"
-      " bit-identical either way)\n"
       "         (--faults: inject message faults into the distributed"
       " runtime; SPEC is a comma list of drop=P, delay=A-B,\n"
       "          dup=P, seed=S, crash=NODE@BEGIN-END, link=FROM-TO@P)\n"
@@ -114,8 +110,7 @@ int usage_to(std::FILE* out) {
       " [--window W]\n"
       "                            [--algo NAME[,...]] [--policy P] [--eps X]"
       " [--eta X] [--iters N] [--tol X]\n"
-      "                            [--threads T] [--partition shard|chunked]"
-      " [--budget N]\n"
+      "                            [--threads T] [--budget N]\n"
       "                            [--admit-share X] [--deny-share X]"
       " [--max-pending N] [--decisions FILE]\n"
       "                            [--json FILE] [--report] [--metrics FILE]"
@@ -326,9 +321,6 @@ int cmd_solve(const std::string& path,
   const double threads = flag_number(flags, "threads", 1);
   options.threads =
       threads <= 0 ? 0 : static_cast<std::size_t>(threads);
-  if (flags.count("partition") != 0) {
-    options.partition = flags.at("partition");
-  }
   options.report = flags.count("report") != 0;
   options.observe = want_obs;
   if (flags.count("faults") != 0) options.extra["faults"] = flags.at("faults");
@@ -446,9 +438,6 @@ int cmd_churn(const std::string& path,
   options.solve.tolerance = flag_number(flags, "tol", 0.0);
   const double threads = flag_number(flags, "threads", 1);
   options.solve.threads = threads <= 0 ? 0 : static_cast<std::size_t>(threads);
-  if (flags.count("partition") != 0) {
-    options.solve.partition = flags.at("partition");
-  }
   options.watchdog_iterations =
       static_cast<std::size_t>(flag_number(flags, "budget", 4000));
   options.record_trace = flags.count("trace") != 0;
@@ -519,9 +508,6 @@ int cmd_serve(const std::string& path,
   const double threads = flag_number(flags, "threads", 1);
   options.controller.solve.threads =
       threads <= 0 ? 0 : static_cast<std::size_t>(threads);
-  if (flags.count("partition") != 0) {
-    options.controller.solve.partition = flags.at("partition");
-  }
   options.controller.watchdog_iterations =
       static_cast<std::size_t>(flag_number(flags, "budget", 4000));
   options.window = static_cast<std::size_t>(flag_number(flags, "window", 0));
