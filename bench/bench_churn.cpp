@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
         if (w.recovery_iterations < c.recovery_iterations) wins += 1;
       }
       table.add_row(
-          {std::to_string(seed), w.event.describe(),
+          {std::to_string(seed), w.describe(),
            std::to_string(w.iterations), std::to_string(c.iterations),
            w.recovery_iterations == ctrl::kNotRecovered
                ? "never"

@@ -1,8 +1,8 @@
 // E12 — extension: failure recovery with warm starts. Section 3 remarks
 // that the penalty's reserved headroom helps "faster recovery in the case of
 // node or link failures". After a fail-stop server crash we rebuild the
-// network (stream::without_server), transfer the surviving routing
-// (core::transfer_routing), and compare re-convergence against a cold
+// network (stream::without_server), remap the surviving routing
+// (core::remap_routing), and compare re-convergence against a cold
 // restart, across several random instances.
 
 #include <cstdio>
@@ -81,7 +81,7 @@ int main() {
         0.95 * xform::solve_reference(new_xg).optimal_utility;
 
     const auto warm_routing =
-        core::transfer_routing(xg, before.routing(), new_xg, surgery);
+        core::remap_routing(xg, before.routing(), new_xg, surgery).value();
     const auto warm_flows = core::compute_flows(new_xg, warm_routing);
     all_feasible = all_feasible &&
                    core::map_to_physical(new_xg, warm_flows)

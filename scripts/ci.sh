@@ -9,11 +9,13 @@
 # differential harness (the sparse revised simplex indexes CSC/LU/eta
 # arrays by hand; ASan guards every pivot). Phase 3b: UBSan pass (built
 # with -fno-sanitize-recover, so a report aborts the binary) over the
-# runtime, fault, sim and property suites — the shard queues, counting-sort
-# inbox offsets and fault draws are hand-indexed. Phase 4: solver-parity
-# leg — the unified solver layer's registry/adapter/pipeline suite re-run
-# in isolation, so a parity break is named in the CI log even when earlier
-# phases fail for unrelated reasons. Phase 5: churn-controller leg — the
+# runtime, fault, sim, property, ctrl and serve suites — the shard queues,
+# counting-sort inbox offsets and fault draws are hand-indexed, and the
+# serve suite drives the protocol parser, WAL reader and snapshot import.
+# Phase 4: solver-parity leg — the unified solver layer's
+# registry/adapter/pipeline suite re-run in isolation, so a parity break is
+# named in the CI log even when earlier phases fail for unrelated reasons.
+# Phase 5: churn-controller leg — the
 # ctrl/churn suites re-run in isolation, plus a bench_churn smoke run whose
 # JSON artifact must parse. Phase 6: perf-smoke leg — bench_runtime_scaling
 # --smoke, whose shape checks gate the runtime's determinism and zero
@@ -71,11 +73,13 @@ cmake --build --preset asan -j"${jobs}" --target obs_test property_test \
 
 cmake --preset ubsan
 cmake --build --preset ubsan -j"${jobs}" --target runtime_parallel_test \
-  fault_test sim_test property_test
+  fault_test sim_test property_test ctrl_test serve_test
 ./build-ubsan/tests/runtime_parallel_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/sim_test
 ./build-ubsan/tests/property_test
+./build-ubsan/tests/ctrl_test
+./build-ubsan/tests/serve_test
 
 # Solver parity: every registry adapter bit-identical to its optimizer,
 # every backend within tolerance of the LP optimum (tests/solver_test.cpp).

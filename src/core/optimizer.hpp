@@ -73,7 +73,7 @@ class GradientOptimizer {
                              GradientOptions options = {});
 
   /// Starts from a caller-provided routing (e.g. a warm start transferred
-  /// from a pre-failure network via transfer_routing) instead of the
+  /// from a pre-failure network via remap_routing) instead of the
   /// all-rejected initial state. The routing must satisfy the invariants.
   GradientOptimizer(const xform::ExtendedGraph& xg, GradientOptions options,
                     RoutingState initial_routing);

@@ -14,57 +14,6 @@ using maxutil::util::ensure;
 using maxutil::xform::ExtendedGraph;
 using maxutil::xform::LinkKind;
 
-namespace {
-
-/// Old extended edge corresponding to `new_edge`, using the surgery's link
-/// and commodity maps; kRemovedEntity never occurs because surgery only
-/// removes entities (every new edge has an old counterpart).
-EdgeId old_edge_for(const ExtendedGraph& old_xg, const ExtendedGraph& new_xg,
-                    const stream::SurgeryResult& surgery, EdgeId new_edge) {
-  switch (new_xg.link_kind(new_edge)) {
-    case LinkKind::kProcessing: {
-      const auto new_link = new_xg.physical_link(new_edge);
-      for (std::size_t l = 0; l < surgery.link_map.size(); ++l) {
-        if (surgery.link_map[l] == new_link) {
-          return old_xg.processing_edge(l);
-        }
-      }
-      break;
-    }
-    case LinkKind::kTransfer: {
-      const auto new_link = new_xg.physical_link(new_edge);
-      for (std::size_t l = 0; l < surgery.link_map.size(); ++l) {
-        if (surgery.link_map[l] == new_link) {
-          return old_xg.transfer_edge(l);
-        }
-      }
-      break;
-    }
-    case LinkKind::kDummyInput: {
-      const auto new_j = new_xg.dummy_commodity(new_edge);
-      for (std::size_t j = 0; j < surgery.commodity_map.size(); ++j) {
-        if (surgery.commodity_map[j] == new_j) {
-          return old_xg.dummy_input_link(j);
-        }
-      }
-      break;
-    }
-    case LinkKind::kDummyDifference: {
-      const auto new_j = new_xg.dummy_commodity(new_edge);
-      for (std::size_t j = 0; j < surgery.commodity_map.size(); ++j) {
-        if (surgery.commodity_map[j] == new_j) {
-          return old_xg.dummy_difference_link(j);
-        }
-      }
-      break;
-    }
-  }
-  throw maxutil::util::CheckError(
-      "transfer_routing: new edge has no pre-surgery counterpart");
-}
-
-}  // namespace
-
 RoutingState repair_capacity_feasibility(const ExtendedGraph& xg,
                                          RoutingState routing,
                                          double capacity_guard) {
@@ -80,58 +29,6 @@ RoutingState repair_capacity_feasibility(const ExtendedGraph& xg,
     routing.blend_toward(fallback, 0.5);
   }
   return fallback;
-}
-
-RoutingState transfer_routing(const ExtendedGraph& old_xg,
-                              const RoutingState& old_routing,
-                              const ExtendedGraph& new_xg,
-                              const stream::SurgeryResult& surgery,
-                              double capacity_guard) {
-  RoutingState out(new_xg);
-  // Old commodity per new commodity.
-  std::vector<std::size_t> old_commodity(new_xg.commodity_count(),
-                                         kRemovedEntity);
-  for (std::size_t j = 0; j < surgery.commodity_map.size(); ++j) {
-    if (surgery.commodity_map[j] != kRemovedEntity) {
-      old_commodity[surgery.commodity_map[j]] = j;
-    }
-  }
-
-  const auto& g = new_xg.graph();
-  for (CommodityId nj = 0; nj < new_xg.commodity_count(); ++nj) {
-    const std::size_t oj = old_commodity[nj];
-    ensure(oj != kRemovedEntity, "transfer_routing: unmapped commodity");
-    for (const NodeId nv : new_xg.commodity_nodes(nj)) {
-      if (nv == new_xg.sink(nj)) continue;
-      std::vector<EdgeId> usable;
-      std::vector<double> phi;
-      double total = 0.0;
-      for (const EdgeId e : g.out_edges(nv)) {
-        if (!new_xg.usable(nj, e)) continue;
-        usable.push_back(e);
-        const EdgeId old_e = old_edge_for(old_xg, new_xg, surgery, e);
-        const double value = old_routing.phi(oj, old_e);
-        phi.push_back(value);
-        total += value;
-      }
-      ensure(!usable.empty(), "transfer_routing: node without usable out-edge");
-      if (total > 1e-12) {
-        for (std::size_t i = 0; i < usable.size(); ++i) {
-          out.set_phi(nj, usable[i], phi[i] / total);
-        }
-      } else {
-        // All prior mass pointed at the failed branch: fall back to uniform.
-        const double share = 1.0 / static_cast<double>(usable.size());
-        for (const EdgeId e : usable) out.set_phi(nj, e, share);
-      }
-    }
-  }
-  ensure(out.is_valid(new_xg, 1e-9),
-         "transfer_routing: produced invalid routing");
-
-  // Feasibility repair: redistributed mass can overload a surviving replica
-  // (the failed server's share now funnels through fewer nodes).
-  return repair_capacity_feasibility(new_xg, std::move(out), capacity_guard);
 }
 
 std::optional<RoutingState> remap_routing(const ExtendedGraph& old_xg,

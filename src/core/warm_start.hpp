@@ -10,56 +10,44 @@
 
 namespace maxutil::core {
 
-/// Transfers a converged routing decision from a network onto its
-/// post-surgery survivor (stream::without_server), giving the optimizer a
-/// warm start after a failure instead of restarting from all-rejected.
+/// Remaps a converged routing decision across surgery maps (old network ->
+/// new network: stream::without_server's SurgeryResult, or the churn
+/// controller's stream::compose_maps), giving the optimizer a warm start
+/// after a topology change instead of restarting from all-rejected.
 ///
-/// For every surviving commodity, the fraction of each surviving usable
-/// extended edge is copied and the per-node fractions renormalized (mass
-/// that pointed at the failed server is spread proportionally over the
-/// remaining links; a node whose entire mass died falls back to uniform).
-/// The result always satisfies the RoutingState invariants on `new_xg`.
+/// For every commodity, the fraction of each usable extended edge with a
+/// pre-surgery counterpart is copied and the per-node fractions
+/// renormalized (mass that pointed at a removed server is spread
+/// proportionally over the remaining links). The new network may also
+/// contain entities with *no* pre-surgery counterpart (a restored server's
+/// links, a newly arrived commodity):
+///
+/// * New commodities without an old counterpart start at the all-rejected
+///   convention of RoutingState::initial (all mass on the dummy difference
+///   link, uniform at interior nodes).
+/// * New edges without an old counterpart contribute zero mass; nodes whose
+///   entire mass landed on removed or new edges fall back to uniform
+///   (all-rejected at dummy sources).
 ///
 /// Warm starts are one payoff of the paper's Section-3 observation that the
 /// penalty barrier leaves spare capacity "for faster recovery in the case of
 /// node or link failures": the surviving routing is feasible-with-headroom
 /// and already near-optimal for the reduced network (bench_recovery
 /// quantifies the saved iterations).
-/// `capacity_guard` mirrors GradientOptions::capacity_guard: if concentrating
-/// the surviving mass would overload a node past guard * C (the failed
-/// server's load landing on one replica), the transferred routing is blended
-/// toward the all-rejected initial state until it is strictly feasible, so
-/// it is always a legal optimizer start.
-RoutingState transfer_routing(const xform::ExtendedGraph& old_xg,
-                              const RoutingState& old_routing,
-                              const xform::ExtendedGraph& new_xg,
-                              const stream::SurgeryResult& surgery,
-                              double capacity_guard = 0.999);
-
-/// Tolerant sibling of transfer_routing for the churn controller: remaps
-/// `old_routing` across arbitrary surgery maps (old network -> new network,
-/// e.g. from stream::compose_maps) where — unlike the shrink-only
-/// without_server case — the new network may contain entities with *no*
-/// pre-surgery counterpart (a restored server's links, a newly arrived
-/// commodity).
 ///
-/// * New commodities without an old counterpart start at the all-rejected
-///   convention of RoutingState::initial (all mass on the dummy difference
-///   link, uniform at interior nodes).
-/// * New edges without an old counterpart contribute zero mass; nodes whose
-///   entire mass landed on such edges fall back to uniform (all-rejected at
-///   dummy sources).
-/// * The result is repaired to strict capacity feasibility like
-///   transfer_routing.
+/// `capacity_guard` mirrors GradientOptions::capacity_guard: if
+/// concentrating the surviving mass would overload a node past guard * C
+/// (the failed server's load landing on one replica), the remapped routing
+/// is blended toward the all-rejected initial state until it is strictly
+/// feasible, so it is always a legal optimizer start. With `repair = false`
+/// the remapped routing is returned as-is (valid, but possibly violating
+/// the guard) so the caller can apply its own degradation policy — e.g. the
+/// churn controller's `priority` policy sheds whole commodities instead of
+/// blending everyone proportionally.
 ///
 /// Returns nullopt instead of throwing when the maps are inconsistent with
 /// the graphs — the controller's cue to fall back to a cold start rather
 /// than abort the churn run.
-///
-/// With `repair = false` the remapped routing is returned as-is (valid, but
-/// possibly violating the capacity guard) so the caller can apply its own
-/// degradation policy — e.g. the churn controller's `priority` policy sheds
-/// whole commodities instead of blending everyone proportionally.
 std::optional<RoutingState> remap_routing(const xform::ExtendedGraph& old_xg,
                                           const RoutingState& old_routing,
                                           const xform::ExtendedGraph& new_xg,
@@ -71,7 +59,7 @@ std::optional<RoutingState> remap_routing(const xform::ExtendedGraph& old_xg,
 /// finite-capacity node is strictly inside guard * C (the `proportional`
 /// degradation policy: every commodity sheds the same fraction). Returns the
 /// initial state itself when 60 halvings do not suffice. This is the repair
-/// pass transfer_routing/routing_from_flows/remap_routing run internally,
+/// pass routing_from_flows and remap_routing run internally,
 /// exported for callers that defer it (remap_routing with repair = false).
 RoutingState repair_capacity_feasibility(const xform::ExtendedGraph& xg,
                                          RoutingState routing,
@@ -82,7 +70,7 @@ RoutingState repair_capacity_feasibility(const xform::ExtendedGraph& xg,
 /// this shape): phi at each non-sink commodity node is the node's outgoing
 /// flow split, with a uniform fallback where the node carries no flow.
 ///
-/// The second warm-start pipe alongside transfer_routing: a vertex of the
+/// The second warm-start pipe alongside remap_routing: a vertex of the
 /// *original* constrained polytope typically saturates capacities exactly
 /// (f = C), where the barrier cost is infinite, so the result is blended
 /// toward the all-rejected initial state until every finite-capacity node is

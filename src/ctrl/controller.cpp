@@ -100,6 +100,23 @@ std::size_t read_size(std::istream& in) {
   return v;
 }
 
+/// An entity given as a baseline name or a decimal baseline id (a name
+/// wins); nullopt when neither matches.
+template <typename NameOf>
+std::optional<std::size_t> find_entity(const std::string& text,
+                                       std::size_t count, NameOf name_of) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (name_of(i) == text) return i;
+  }
+  try {
+    std::size_t used = 0;
+    const unsigned long id = std::stoul(text, &used);
+    if (used == text.size() && id < count) return id;
+  } catch (...) {
+  }
+  return std::nullopt;
+}
+
 std::string status_cell(const EventOutcome& outcome) {
   if (outcome.exact_restore) return "exact";
   std::string start = outcome.warm_started ? "warm" : "cold";
@@ -127,13 +144,17 @@ DegradationPolicy parse_policy(const std::string& text) {
   return DegradationPolicy::kProportional;
 }
 
+std::string EventOutcome::describe() const {
+  return ChurnPlan{events}.describe();
+}
+
 std::string ChurnReport::summary() const {
   std::ostringstream out;
   util::Table table({"t", "event", "status", "start", "iters", "recovery",
                      "utility", "optimum"});
   for (const EventOutcome& o : events) {
     table.add_row(
-        {std::to_string(o.event.time), o.event.describe(),
+        {std::to_string(o.events.front().time), o.describe(),
          solver::to_string(o.status), status_cell(o),
          std::to_string(o.iterations),
          o.recovery_iterations == kNotRecovered
@@ -183,9 +204,8 @@ Controller::Controller(const stream::StreamNetwork& baseline,
   register_metrics();
   state_ = build_state(config_);
 
-  EventOutcome boot;
   const solver::SolveResult result =
-      watchdogged_solve(*state_->problem, config_, std::nullopt, boot);
+      watchdogged_solve(*state_->problem, config_, std::nullopt);
   ensure(solver::is_usable(result.status),
          "Controller: initial solve failed: " +
              (result.message.empty() ? std::string(to_string(result.status))
@@ -271,35 +291,35 @@ std::unique_ptr<Controller::State> Controller::build_state(
 
 NodeId Controller::resolve_node(const std::string& text,
                                 const char* what) const {
-  for (NodeId n = 0; n < baseline_.node_count(); ++n) {
-    if (baseline_.node_name(n) == text) return n;
-  }
-  try {
-    std::size_t used = 0;
-    const unsigned long id = std::stoul(text, &used);
-    if (used == text.size() && id < baseline_.node_count()) {
-      return static_cast<NodeId>(id);
-    }
-  } catch (...) {
-  }
+  const std::optional<std::size_t> n = find_entity(
+      text, baseline_.node_count(),
+      [this](std::size_t i) -> const std::string& {
+        return baseline_.node_name(i);
+      });
+  if (n.has_value()) return static_cast<NodeId>(*n);
   ensure(false, std::string("churn ") + what + ": unknown node '" + text +
                     "' (baseline names or ids)");
   return 0;
 }
 
+std::optional<stream::CommodityId> Controller::find_commodity(
+    const std::string& text, bool in_current) const {
+  const std::optional<std::size_t> j = find_entity(
+      text, baseline_.commodity_count(),
+      [this](std::size_t i) -> const std::string& {
+        return baseline_.commodity_name(i);
+      });
+  if (!j.has_value()) return std::nullopt;
+  if (!in_current) return static_cast<stream::CommodityId>(*j);
+  const stream::CommodityId current = state_->surgery.commodity_map[*j];
+  if (current == stream::kRemovedEntity) return std::nullopt;
+  return current;
+}
+
 stream::CommodityId Controller::resolve_commodity(const std::string& text,
                                                   const char* what) const {
-  for (stream::CommodityId j = 0; j < baseline_.commodity_count(); ++j) {
-    if (baseline_.commodity_name(j) == text) return j;
-  }
-  try {
-    std::size_t used = 0;
-    const unsigned long id = std::stoul(text, &used);
-    if (used == text.size() && id < baseline_.commodity_count()) {
-      return static_cast<stream::CommodityId>(id);
-    }
-  } catch (...) {
-  }
+  const std::optional<stream::CommodityId> j = find_commodity(text);
+  if (j.has_value()) return *j;
   ensure(false, std::string("churn ") + what + ": unknown commodity '" + text +
                     "' (baseline names or ids)");
   return 0;
@@ -325,7 +345,7 @@ lp::SimplexBasis* Controller::lp_basis_for(const Config& config) {
 
 solver::SolveResult Controller::watchdogged_solve(
     const solver::Problem& problem, const Config& config,
-    std::optional<core::RoutingState> warm, EventOutcome& outcome) {
+    std::optional<core::RoutingState> warm, bool* retried) {
   solver::SolveOptions so = options_.solve;
   so.lp_basis = lp_basis_for(config);
   if (so.lp_basis != nullptr && !so.lp_basis->empty()) {
@@ -340,37 +360,36 @@ solver::SolveResult Controller::watchdogged_solve(
   so.warm_start = std::move(warm);
 
   solver::SolveResult result = pipeline_.run(problem, so);
-  outcome.iterations = result.iterations;
-  outcome.wall_seconds = result.wall_seconds;
   const bool tripped =
       !solver::is_usable(result.status) ||
       (options_.watchdog_wall_seconds > 0.0 &&
        result.wall_seconds > options_.watchdog_wall_seconds);
+  if (retried != nullptr) *retried = tripped;
   if (tripped) {
-    outcome.watchdog_retry = true;
     metrics_.add(m_retries_);
     solver::SolveOptions retry = so;
     const double base_eta =
         so.eta > 0.0 ? so.eta : (so.curvature_scaled ? 1.0 : 0.04);
     retry.eta = base_eta * options_.retry_eta_factor;
+    const std::size_t first_iterations = result.iterations;
+    const double first_wall = result.wall_seconds;
     result = pipeline_.run(problem, retry);
-    outcome.iterations += result.iterations;
-    outcome.wall_seconds += result.wall_seconds;
+    result.iterations += first_iterations;
+    result.wall_seconds += first_wall;
   }
-  outcome.status = result.status;
-  outcome.message = result.message;
   return result;
 }
 
 std::optional<std::pair<char, std::size_t>> Controller::stage_event(
     const ChurnEvent& event, Config& config) const {
-  std::optional<std::pair<char, std::size_t>> restore_key;
+  std::optional<std::pair<char, std::size_t>> key;
   switch (event.kind) {
     case ChurnEventKind::kCrash: {
       const NodeId u = resolve_node(event.node, "crash");
       ensure(!config.node_down[u],
              "churn crash: node '" + event.node + "' is already down");
       config.node_down[u] = 1;
+      key = {'n', u};
       break;
     }
     case ChurnEventKind::kRestore: {
@@ -378,7 +397,7 @@ std::optional<std::pair<char, std::size_t>> Controller::stage_event(
       ensure(config.node_down[u],
              "churn restore: node '" + event.node + "' is not down");
       config.node_down[u] = 0;
-      restore_key = {'n', u};
+      key = {'n', u};
       break;
     }
     case ChurnEventKind::kCapScale: {
@@ -410,7 +429,7 @@ std::optional<std::pair<char, std::size_t>> Controller::stage_event(
                                              "' is already present");
       config.commodity_absent[j] = 0;
       config.lambda_factor[j] *= event.factor;
-      restore_key = {'c', j};
+      key = {'c', j};
       break;
     }
     case ChurnEventKind::kDepart: {
@@ -418,10 +437,11 @@ std::optional<std::pair<char, std::size_t>> Controller::stage_event(
       ensure(!config.commodity_absent[j],
              "churn depart: commodity '" + event.commodity + "' is absent");
       config.commodity_absent[j] = 1;
+      key = {'c', j};
       break;
     }
   }
-  return restore_key;
+  return key;
 }
 
 obs::MetricId Controller::kind_metric(ChurnEventKind kind) const {
@@ -456,203 +476,152 @@ std::string Controller::check_event(
 }
 
 EventOutcome Controller::apply(const ChurnEvent& event) {
-  const EventOutcome outcome = apply_event(event);
+  const EventOutcome outcome = apply_batch({event});
   report_.events.push_back(outcome);
   if (outcome.exact_restore) report_.exact_restores += 1;
   if (outcome.warm_started) report_.warm_starts += 1;
   if (outcome.cold_started) report_.cold_starts += 1;
   if (outcome.watchdog_retry) report_.watchdog_retries += 1;
-  if (!solver::is_usable(outcome.status)) report_.failures += 1;
-  report_.final_utility = utility_;
   return outcome;
 }
 
-EventOutcome Controller::apply_event(const ChurnEvent& event) {
+EventOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
   ensure(routing_.has_value(), "Controller: not initialized");
+  ensure(!events.empty(), "Controller::apply_batch: empty batch");
   EventOutcome outcome;
-  outcome.event = event;
+  outcome.events = events;
+
+  // Validate and stage every delta before touching any state: either the
+  // whole batch applies, or nothing does.
   Config next = config_;
-  const std::optional<std::pair<char, std::size_t>> restore_key =
-      stage_event(event, next);
-  // Crashes and departures are reversible: snapshot the pre-event state so
-  // a restore (or re-arrival) that returns the configuration exactly here
-  // is served from the snapshot, with no re-solve.
-  if (event.kind == ChurnEventKind::kCrash) {
-    snapshots_.insert_or_assign(
-        {'n', resolve_node(event.node, "crash")},
-        Snapshot{config_, *routing_, admitted_, utility_});
-  } else if (event.kind == ChurnEventKind::kDepart) {
-    snapshots_.insert_or_assign(
-        {'c', resolve_commodity(event.commodity, "depart")},
-        Snapshot{config_, *routing_, admitted_, utility_});
-  }
-  metrics_.add(kind_metric(event.kind));
-  metrics_.add(m_events_);
-  const std::size_t event_index = events_applied_++;
+  std::optional<std::pair<char, std::size_t>> key;
+  for (const ChurnEvent& event : events) key = stage_event(event, next);
 
-  // Exact restore: the configuration returned to the snapshot taken at the
-  // crash (or departure), so the deterministic rebuild reproduces the
-  // pre-event network bit-for-bit and the snapshot routing is reinstated
-  // without a solve.
-  if (restore_key.has_value()) {
-    const auto it = snapshots_.find(*restore_key);
-    if (it != snapshots_.end() && it->second.config == next) {
-      std::unique_ptr<State> next_state = build_state(next);
-      ensure(it->second.routing.is_valid(next_state->problem->extended(), 1e-9),
-             "churn exact restore: snapshot routing invalid on the rebuilt "
-             "network");
-      state_ = std::move(next_state);
-      config_ = std::move(next);
-      routing_ = it->second.routing;
-      admitted_ = it->second.admitted;
-      utility_ = it->second.utility;
-      snapshots_.erase(it);
-
-      outcome.exact_restore = true;
-      outcome.status = solver::Status::kConverged;
-      outcome.recovery_iterations = 0;
-      outcome.utility_before = utility_;
-      outcome.utility_after = utility_;
-      if (options_.lp_reference) {
-        outcome.optimum =
-            xform::solve_reference(state_->problem->extended()).optimal_utility;
+  // A single crash or departure is reversible: snapshot the pre-event state
+  // so a restore (or re-arrival) that returns the configuration exactly here
+  // is served from the snapshot, with no re-solve. Multi-event batches take
+  // no snapshot and are never served as an exact restore.
+  auto exact = snapshots_.end();
+  if (events.size() == 1 && key.has_value()) {
+    const ChurnEventKind kind = events.front().kind;
+    if (kind == ChurnEventKind::kCrash || kind == ChurnEventKind::kDepart) {
+      snapshots_.insert_or_assign(
+          *key, Snapshot{config_, *routing_, admitted_, utility_});
+    } else {
+      exact = snapshots_.find(*key);
+      if (exact != snapshots_.end() && exact->second.config != next) {
+        exact = snapshots_.end();
       }
-      metrics_.add(m_exact_restores_);
-      metrics_.add(m_recovered_);
-      metrics_.observe(m_recovery_hist_, 0.0);
-      metrics_.observe(m_deficit_hist_, 0.0);
-      metrics_.set(m_utility_, utility_);
-      metrics_.set(m_commodities_,
-                   static_cast<double>(network().commodity_count()));
-      if (options_.record_trace) {
-        tracer_.complete(event.describe(), "churn", 0,
-                         1000.0 * static_cast<double>(event.time) +
-                             static_cast<double>(event_index),
-                         1.0, {{"iterations", 0.0}, {"utility", utility_}});
-      }
-      return outcome;
     }
   }
+  for (const ChurnEvent& event : events) {
+    metrics_.add(kind_metric(event.kind));
+    metrics_.add(m_events_);
+  }
+  const std::size_t event_index = events_applied_;
+  events_applied_ += events.size();
 
   std::unique_ptr<State> next_state = build_state(next);
   const xform::ExtendedGraph& new_xg = next_state->problem->extended();
-  const stream::EntityMaps maps = stream::compose_maps(
-      static_cast<const stream::EntityMaps&>(state_->surgery),
-      static_cast<const stream::EntityMaps&>(next_state->surgery));
-
-  // Warm start: remap the previous routing across the surgery maps, then
-  // shape the interim operating point with the degradation policy. Whatever
-  // sheds here is only the transient — the re-solve redistributes optimally.
-  std::optional<core::RoutingState> warm;
-  if (options_.use_warm_start) {
-    warm = core::remap_routing(state_->problem->extended(), *routing_, new_xg,
-                               maps, kGuard, /*repair=*/false);
-  }
-  if (warm.has_value()) {
-    const core::FlowState raw_flows = core::compute_flows(new_xg, *warm);
-    const double raw_violation = guard_violation(new_xg, raw_flows);
+  solver::SolveResult result;
+  if (exact != snapshots_.end()) {
+    // Exact restore: the configuration returned to the snapshot taken at the
+    // crash (or departure), so the deterministic rebuild reproduces the
+    // pre-event network bit-for-bit and the snapshot routing is reinstated
+    // without a solve.
+    ensure(exact->second.routing.is_valid(new_xg, 1e-9),
+           "churn exact restore: snapshot routing invalid on the rebuilt "
+           "network");
+    routing_ = exact->second.routing;
+    admitted_ = exact->second.admitted;
+    utility_ = exact->second.utility;
+    snapshots_.erase(exact);
+    outcome.exact_restore = true;
+    outcome.status = solver::Status::kConverged;
+    outcome.utility_before = utility_;
+    metrics_.add(m_exact_restores_);
+  } else {
+    // Warm start: remap the previous routing across the surgery maps, then
+    // shape the interim operating point with the degradation policy.
+    // Whatever sheds here is only the transient — the re-solve
+    // redistributes optimally.
+    std::optional<core::RoutingState> warm;
+    if (options_.use_warm_start) {
+      const stream::EntityMaps maps = stream::compose_maps(
+          static_cast<const stream::EntityMaps&>(state_->surgery),
+          static_cast<const stream::EntityMaps&>(next_state->surgery));
+      warm = core::remap_routing(state_->problem->extended(), *routing_,
+                                 new_xg, maps, kGuard, /*repair=*/false);
+    }
     // A carry-over that is already a legal start is used untouched; the
     // policy only decides what to shed when the point violates the guard.
-    switch (options_.policy) {
-      case DegradationPolicy::kProportional:
-        if (raw_violation >= 0.0) {
+    if (warm.has_value() &&
+        guard_violation(new_xg, core::compute_flows(new_xg, *warm)) >= 0.0) {
+      switch (options_.policy) {
+        case DegradationPolicy::kProportional:
           warm = core::repair_capacity_feasibility(new_xg, std::move(*warm),
                                                    kRepairHeadroom);
-        }
-        break;
-      case DegradationPolicy::kPriority:
-        if (raw_violation >= 0.0) {
+          break;
+        case DegradationPolicy::kPriority:
           warm = priority_shed(new_xg, std::move(*warm), kRepairHeadroom);
-        }
-        break;
-      case DegradationPolicy::kFreeze:
-        if (raw_violation >= 0.0) {
+          break;
+        case DegradationPolicy::kFreeze:
           // Freeze sheds nothing, so an infeasible carry-over cannot seed
-          // the optimizer: fall back to a cold start and say so.
+          // the optimizer: fall back to a cold start and flag it.
           outcome.degraded_infeasible = true;
-          outcome.message = "freeze policy: carried-over point violates "
-                            "capacity; cold start";
           warm.reset();
-        }
-        break;
+          break;
+      }
+    }
+    const core::RoutingState interim =
+        warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
+    const core::FlowState interim_flows = core::compute_flows(new_xg, interim);
+    outcome.utility_before = core::total_utility(new_xg, interim_flows);
+    if (warm.has_value()) {
+      outcome.warm_start_violation = guard_violation(new_xg, interim_flows);
+    }
+    outcome.warm_started = warm.has_value();
+    outcome.cold_started = !warm.has_value();
+    metrics_.add(outcome.warm_started ? m_warm_starts_ : m_cold_starts_);
+
+    result = watchdogged_solve(*next_state->problem, next, std::move(warm),
+                               &outcome.watchdog_retry);
+    outcome.status = result.status;
+    outcome.message = result.message;
+    outcome.iterations = result.iterations;
+    outcome.wall_seconds = result.wall_seconds;
+    if (solver::is_usable(result.status)) {
+      ensure(result.routing.has_value(),
+             "Controller: pipeline emitted no routing");
+      routing_ = result.routing;
+      admitted_ = result.admitted;
+      utility_ = result.utility;
+    } else {
+      // The topology change stands regardless; keep operating on the
+      // degraded interim point until a later event's re-solve succeeds.
+      routing_ = interim;
+      admitted_.assign(new_xg.commodity_count(), 0.0);
+      for (stream::CommodityId j = 0; j < new_xg.commodity_count(); ++j) {
+        admitted_[j] = core::admitted_rate(new_xg, interim_flows, j);
+      }
+      utility_ = core::total_utility(new_xg, interim_flows);
+      metrics_.add(m_failures_);
+      report_.failures += 1;
     }
   }
-  if (warm.has_value()) {
-    const core::FlowState warm_flows = core::compute_flows(new_xg, *warm);
-    outcome.warm_start_violation = guard_violation(new_xg, warm_flows);
-    outcome.utility_before = core::total_utility(new_xg, warm_flows);
-    outcome.warm_started = true;
-  } else {
-    const core::RoutingState initial = core::RoutingState::initial(new_xg);
-    outcome.utility_before =
-        core::total_utility(new_xg, core::compute_flows(new_xg, initial));
-    outcome.cold_started = true;
-  }
-  metrics_.add(outcome.warm_started ? m_warm_starts_ : m_cold_starts_);
-
-  const core::RoutingState interim =
-      warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
-  const solver::SolveResult result =
-      watchdogged_solve(*next_state->problem, next, warm, outcome);
-
-  const bool usable = solver::is_usable(result.status);
   state_ = std::move(next_state);
   config_ = std::move(next);
-  if (usable) {
-    ensure(result.routing.has_value(),
-           "Controller: pipeline emitted no routing");
-    routing_ = result.routing;
-    admitted_ = result.admitted;
-    utility_ = result.utility;
-  } else {
-    // The topology change stands regardless; keep operating on the degraded
-    // interim point until a later event's re-solve succeeds.
-    routing_ = interim;
-    const core::FlowState flows = core::compute_flows(new_xg, interim);
-    admitted_.assign(new_xg.commodity_count(), 0.0);
-    for (stream::CommodityId j = 0; j < new_xg.commodity_count(); ++j) {
-      admitted_[j] = core::admitted_rate(new_xg, flows, j);
-    }
-    utility_ = core::total_utility(new_xg, flows);
-    metrics_.add(m_failures_);
-  }
   outcome.utility_after = utility_;
+  report_.final_utility = utility_;
 
-  // Recovery SLOs against the post-event optimum.
-  outcome.recovery_iterations = kNotRecovered;
+  // Recovery SLOs against the post-event optimum; an exact restore is back
+  // in the band at iteration 0.
+  outcome.recovery_iterations = outcome.exact_restore ? 0 : kNotRecovered;
   if (options_.lp_reference) {
     outcome.optimum =
         xform::solve_reference(state_->problem->extended()).optimal_utility;
-    const double threshold =
-        outcome.optimum -
-        options_.recovery_band * std::max(1.0, std::abs(outcome.optimum));
-    bool from_history = false;
-    if (usable && result.history.has_value() && result.history->rows() > 0) {
-      try {
-        const std::vector<double>& u = result.history->column("utility");
-        const std::vector<double>& it = result.history->column("iteration");
-        outcome.utility_deficit = 0.0;
-        for (std::size_t row = 0; row < u.size(); ++row) {
-          outcome.utility_deficit += std::max(0.0, outcome.optimum - u[row]);
-          if (outcome.recovery_iterations == kNotRecovered &&
-              u[row] >= threshold) {
-            outcome.recovery_iterations = static_cast<std::size_t>(it[row]);
-          }
-        }
-        from_history = true;
-      } catch (const util::CheckError&) {
-        from_history = false;  // backend history without a utility column
-      }
-    }
-    if (!from_history) {
-      outcome.recovery_iterations =
-          utility_ >= threshold ? outcome.iterations : kNotRecovered;
-      outcome.utility_deficit = std::max(0.0, outcome.optimum - utility_) *
-                                static_cast<double>(std::max<std::size_t>(
-                                    1, outcome.iterations));
-    }
+    if (!outcome.exact_restore) record_recovery(result, outcome);
   }
-
   if (outcome.recovery_iterations != kNotRecovered) {
     metrics_.add(m_recovered_);
     metrics_.observe(m_recovery_hist_,
@@ -663,161 +632,56 @@ EventOutcome Controller::apply_event(const ChurnEvent& event) {
   metrics_.set(m_commodities_,
                static_cast<double>(network().commodity_count()));
   if (options_.record_trace) {
+    std::vector<obs::TraceArg> args = {
+        {"iterations", static_cast<double>(outcome.iterations)},
+        {"utility", utility_}};
+    if (!outcome.exact_restore) {
+      args.push_back({"optimum", outcome.optimum});
+      args.push_back({"deficit", outcome.utility_deficit});
+    }
+    if (events.size() > 1) {
+      args.push_back({"events", static_cast<double>(events.size())});
+    }
     tracer_.complete(
-        event.describe(), "churn", 0,
-        1000.0 * static_cast<double>(event.time) +
+        events.size() == 1 ? events.front().describe()
+                           : "batch[" + std::to_string(events.size()) + "]",
+        "churn", 0,
+        1000.0 * static_cast<double>(events.front().time) +
             static_cast<double>(event_index),
         std::max(1.0, static_cast<double>(outcome.iterations)),
-        {{"iterations", static_cast<double>(outcome.iterations)},
-         {"utility", utility_},
-         {"optimum", outcome.optimum},
-         {"deficit", outcome.utility_deficit}});
+        std::move(args));
   }
   return outcome;
 }
 
-BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
-  ensure(routing_.has_value(), "Controller: not initialized");
-  ensure(!events.empty(), "Controller::apply_batch: empty batch");
-
-  // A singleton batch goes through the full per-event path — snapshots,
-  // exact restores, recovery SLOs — so batching degenerates gracefully. Its
-  // outcome is not kept in report().events: a serving daemon decides one
-  // request after another for as long as it runs.
-  if (events.size() == 1) {
-    const EventOutcome one = apply_event(events.front());
-    if (!solver::is_usable(one.status)) report_.failures += 1;
-    report_.final_utility = utility_;
-    BatchOutcome outcome;
-    outcome.events = events;
-    outcome.status = one.status;
-    outcome.warm_started = one.warm_started;
-    outcome.cold_started = one.cold_started;
-    outcome.exact_restore = one.exact_restore;
-    outcome.watchdog_retry = one.watchdog_retry;
-    outcome.degraded_infeasible = one.degraded_infeasible;
-    outcome.iterations = one.iterations;
-    outcome.utility_before = one.utility_before;
-    outcome.utility_after = one.utility_after;
-    outcome.warm_start_violation = one.warm_start_violation;
-    outcome.wall_seconds = one.wall_seconds;
-    outcome.message = one.message;
-    return outcome;
-  }
-
-  BatchOutcome outcome;
-  outcome.events = events;
-
-  // Validate and stage every delta before touching any state: either the
-  // whole batch applies, or nothing does.
-  Config next = config_;
-  for (const ChurnEvent& event : events) stage_event(event, next);
-  for (const ChurnEvent& event : events) {
-    metrics_.add(kind_metric(event.kind));
-    metrics_.add(m_events_);
-  }
-  const std::size_t event_index = events_applied_;
-  events_applied_ += events.size();
-
-  std::unique_ptr<State> next_state = build_state(next);
-  const xform::ExtendedGraph& new_xg = next_state->problem->extended();
-  const stream::EntityMaps maps = stream::compose_maps(
-      static_cast<const stream::EntityMaps&>(state_->surgery),
-      static_cast<const stream::EntityMaps&>(next_state->surgery));
-
-  // Same warm-start + degradation shaping as the per-event path, applied
-  // once across the combined surgery.
-  std::optional<core::RoutingState> warm;
-  if (options_.use_warm_start) {
-    warm = core::remap_routing(state_->problem->extended(), *routing_, new_xg,
-                               maps, kGuard, /*repair=*/false);
-  }
-  if (warm.has_value()) {
-    const core::FlowState raw_flows = core::compute_flows(new_xg, *warm);
-    const double raw_violation = guard_violation(new_xg, raw_flows);
-    switch (options_.policy) {
-      case DegradationPolicy::kProportional:
-        if (raw_violation >= 0.0) {
-          warm = core::repair_capacity_feasibility(new_xg, std::move(*warm),
-                                                   kRepairHeadroom);
+void Controller::record_recovery(const solver::SolveResult& result,
+                                 EventOutcome& outcome) const {
+  const double threshold =
+      outcome.optimum -
+      options_.recovery_band * std::max(1.0, std::abs(outcome.optimum));
+  if (solver::is_usable(result.status) && result.history.has_value() &&
+      result.history->rows() > 0) {
+    try {
+      const std::vector<double>& u = result.history->column("utility");
+      const std::vector<double>& it = result.history->column("iteration");
+      outcome.utility_deficit = 0.0;
+      for (std::size_t row = 0; row < u.size(); ++row) {
+        outcome.utility_deficit += std::max(0.0, outcome.optimum - u[row]);
+        if (outcome.recovery_iterations == kNotRecovered &&
+            u[row] >= threshold) {
+          outcome.recovery_iterations = static_cast<std::size_t>(it[row]);
         }
-        break;
-      case DegradationPolicy::kPriority:
-        if (raw_violation >= 0.0) {
-          warm = priority_shed(new_xg, std::move(*warm), kRepairHeadroom);
-        }
-        break;
-      case DegradationPolicy::kFreeze:
-        if (raw_violation >= 0.0) {
-          outcome.degraded_infeasible = true;
-          outcome.message = "freeze policy: carried-over point violates "
-                            "capacity; cold start";
-          warm.reset();
-        }
-        break;
+      }
+      return;
+    } catch (const util::CheckError&) {
+      // backend history without a utility column: fall through
     }
   }
-  if (warm.has_value()) {
-    const core::FlowState warm_flows = core::compute_flows(new_xg, *warm);
-    outcome.warm_start_violation = guard_violation(new_xg, warm_flows);
-    outcome.utility_before = core::total_utility(new_xg, warm_flows);
-    outcome.warm_started = true;
-  } else {
-    const core::RoutingState initial = core::RoutingState::initial(new_xg);
-    outcome.utility_before =
-        core::total_utility(new_xg, core::compute_flows(new_xg, initial));
-    outcome.cold_started = true;
-  }
-  metrics_.add(outcome.warm_started ? m_warm_starts_ : m_cold_starts_);
-
-  EventOutcome solve_fields;  // watchdogged_solve reports through this shape
-  const core::RoutingState interim =
-      warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
-  const solver::SolveResult result =
-      watchdogged_solve(*next_state->problem, next, warm, solve_fields);
-  outcome.status = solve_fields.status;
-  outcome.watchdog_retry = solve_fields.watchdog_retry;
-  outcome.iterations = solve_fields.iterations;
-  outcome.wall_seconds = solve_fields.wall_seconds;
-  if (outcome.message.empty()) outcome.message = solve_fields.message;
-
-  const bool usable = solver::is_usable(result.status);
-  state_ = std::move(next_state);
-  config_ = std::move(next);
-  if (usable) {
-    ensure(result.routing.has_value(),
-           "Controller: pipeline emitted no routing");
-    routing_ = result.routing;
-    admitted_ = result.admitted;
-    utility_ = result.utility;
-  } else {
-    routing_ = interim;
-    const core::FlowState flows = core::compute_flows(new_xg, interim);
-    admitted_.assign(new_xg.commodity_count(), 0.0);
-    for (stream::CommodityId j = 0; j < new_xg.commodity_count(); ++j) {
-      admitted_[j] = core::admitted_rate(new_xg, flows, j);
-    }
-    utility_ = core::total_utility(new_xg, flows);
-    metrics_.add(m_failures_);
-  }
-  outcome.utility_after = utility_;
-
-  metrics_.set(m_utility_, utility_);
-  metrics_.set(m_commodities_,
-               static_cast<double>(network().commodity_count()));
-  if (options_.record_trace) {
-    tracer_.complete(
-        "batch[" + std::to_string(events.size()) + "]", "churn", 0,
-        1000.0 * static_cast<double>(events.front().time) +
-            static_cast<double>(event_index),
-        std::max(1.0, static_cast<double>(outcome.iterations)),
-        {{"events", static_cast<double>(events.size())},
-         {"iterations", static_cast<double>(outcome.iterations)},
-         {"utility", utility_}});
-  }
-  if (!usable) report_.failures += 1;
-  report_.final_utility = utility_;
-  return outcome;
+  outcome.recovery_iterations =
+      utility_ >= threshold ? outcome.iterations : kNotRecovered;
+  outcome.utility_deficit =
+      std::max(0.0, outcome.optimum - utility_) *
+      static_cast<double>(std::max<std::size_t>(1, outcome.iterations));
 }
 
 void Controller::export_state(std::ostream& out) const {

@@ -93,10 +93,11 @@ struct ControllerOptions {
   bool record_trace = false;
 };
 
-/// Per-event record: what happened, how the re-solve went, and the
-/// recovery SLOs (docs/CONTROLLER.md §4).
+/// Outcome of one apply: what happened, how the re-solve went, and the
+/// recovery SLOs (docs/CONTROLLER.md §4). apply() fills it for one event,
+/// apply_batch() for a batch that shared one rebuild and one re-solve.
 struct EventOutcome {
-  ChurnEvent event;
+  std::vector<ChurnEvent> events;
   solver::Status status = solver::Status::kFailed;
 
   bool warm_started = false;   // remapped previous routing fed the solve
@@ -114,29 +115,9 @@ struct EventOutcome {
   double warm_start_violation = 0.0;  // capacity violation of the warm point
   double wall_seconds = 0.0;
   std::string message;  // failure cause when status is not usable
-};
 
-/// Outcome of a coalesced batch of events applied with a *single* re-solve
-/// (Controller::apply_batch — the serve daemon's path, docs/SERVE.md §3).
-/// Mirrors the solve-related fields of EventOutcome; the per-event recovery
-/// SLOs (recovery_iterations, utility_deficit) are the per-event path's job
-/// and are not computed here.
-struct BatchOutcome {
-  std::vector<ChurnEvent> events;
-  solver::Status status = solver::Status::kFailed;
-
-  bool warm_started = false;
-  bool cold_started = false;
-  bool exact_restore = false;   // singleton batch served from a snapshot
-  bool watchdog_retry = false;
-  bool degraded_infeasible = false;
-
-  std::size_t iterations = 0;
-  double utility_before = 0.0;  // interim (degraded) utility after surgery
-  double utility_after = 0.0;
-  double warm_start_violation = 0.0;
-  double wall_seconds = 0.0;
-  std::string message;
+  /// The events in ChurnPlan::describe form ("kind=...@T", comma-joined).
+  std::string describe() const;
 };
 
 /// Whole-run aggregate returned by Controller::run.
@@ -155,8 +136,9 @@ struct ChurnReport {
 };
 
 /// The online churn controller (ISSUE 5 tentpole): owns the solver Problem
-/// for the current topology and drives it through a ChurnPlan. Per event it
-/// 1. validates the event against the current topology configuration,
+/// for the current topology and drives it through a ChurnPlan. Per apply —
+/// one event, or a batch of events sharing one re-solve — it
+/// 1. validates the events against the current topology configuration,
 /// 2. rebuilds the network from the pristine baseline via stream::rebuild
 ///    (so a crash followed by a restore reproduces the pre-crash network
 ///    bit-for-bit, making crashes reversible),
@@ -167,11 +149,11 @@ struct ChurnReport {
 ///    budget, one retry at a safer step size before Status::kFailed),
 /// 5. records recovery SLOs into the obs layer (metrics + trace spans).
 ///
-/// A crash (or departure) snapshots the pre-event configuration and
-/// routing; a restore (or re-arrival) that returns the configuration to
-/// exactly the snapshot skips the re-solve entirely and reinstates the
-/// snapshot (recovery in 0 iterations — the strongest form of the paper's
-/// "faster recovery" remark).
+/// A crash (or departure) applied on its own snapshots the pre-event
+/// configuration and routing; a restore (or re-arrival) applied on its own
+/// that returns the configuration to exactly the snapshot skips the
+/// re-solve entirely and reinstates the snapshot (recovery in 0 iterations
+/// — the strongest form of the paper's "faster recovery" remark).
 ///
 /// Deterministic by construction: no wall-clock input affects decisions,
 /// and with a deterministic backend (gradient, or distributed under the
@@ -187,26 +169,34 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// Applies one event: surgery + degradation + watchdogged re-solve.
-  /// Throws util::CheckError when the event is invalid against the current
-  /// configuration (crashing a down node, restoring an up node, scaling a
-  /// sink, departing an absent commodity, unknown names); solver failures
-  /// are *recorded* in the outcome, never thrown.
+  /// Applies one event: apply_batch({event}), and appends the outcome to
+  /// report().events. Throws util::CheckError when the event is invalid
+  /// against the current configuration (crashing a down node, restoring an
+  /// up node, scaling a sink, departing an absent commodity, unknown names);
+  /// solver failures are *recorded* in the outcome, never thrown.
   EventOutcome apply(const ChurnEvent& event);
 
-  /// Applies a coalesced batch of events with ONE rebuild + ONE warm-started
-  /// re-solve (the serve daemon's load-shedding path: many topology changes
-  /// and admissions arriving inside a coalescing window cost one solve, not
-  /// one per event). Events are validated in order against the staged
-  /// configuration, exactly as if applied one by one; the whole batch throws
-  /// util::CheckError before any state changes when one is invalid — use
-  /// check_event to pre-screen a stream. A singleton batch takes apply()'s
-  /// per-event path (keeping the exact-restore snapshot machinery);
-  /// multi-event batches skip snapshots, so a restore cannot be served
-  /// exactly across a batched crash. No batch outcome, singleton or not, is
-  /// appended to report().events, so a long-running daemon's report does
-  /// not grow per decision; report() counts only the batches' failures.
-  BatchOutcome apply_batch(const std::vector<ChurnEvent>& events);
+  /// Applies a batch of events with ONE rebuild + ONE warm-started re-solve:
+  /// surgery, degradation, watchdogged re-solve, recovery SLOs. This is the
+  /// controller's only apply path (the serve daemon's load-shedding path
+  /// too: many topology changes and admissions arriving inside a coalescing
+  /// window cost one solve, not one per event). Events are validated in
+  /// order against the staged configuration, exactly as if applied one by
+  /// one; the whole batch throws util::CheckError before any state changes
+  /// when one is invalid — use check_event to pre-screen a stream. Only a
+  /// single-event batch takes a crash/depart snapshot or is served as an
+  /// exact restore, so a restore cannot be served exactly across a batched
+  /// crash. The outcome is not appended to report().events, so a
+  /// long-running daemon's report does not grow per decision; report()
+  /// counts only its failures.
+  EventOutcome apply_batch(const std::vector<ChurnEvent>& events);
+
+  /// The id of commodity `text` — a baseline name or a decimal baseline id —
+  /// in the baseline, or with `in_current` in the current network. nullopt
+  /// when the baseline has no such commodity, or the current network lacks
+  /// it (departed, or pruned by the rebuild).
+  std::optional<stream::CommodityId> find_commodity(
+      const std::string& text, bool in_current = false) const;
 
   /// Validates `event` against the configuration reached from the current
   /// one by staging `staged` first (no state is modified). Returns the
@@ -292,17 +282,14 @@ class Controller {
   };
 
   std::unique_ptr<State> build_state(const Config& config) const;
-  /// The per-event path shared by apply() and a singleton apply_batch();
-  /// leaves report() to its callers.
-  EventOutcome apply_event(const ChurnEvent& event);
   /// Selects the slot for `config`'s layout, rotating the two slots on a
   /// layout change, and returns its basis for the next solve's
   /// SolveOptions::lp_basis; nullptr when use_warm_start is off.
   lp::SimplexBasis* lp_basis_for(const Config& config);
   /// Validates `event` against `config` and applies its delta (pure with
-  /// respect to controller state — apply()/apply_batch record metrics and
-  /// snapshots themselves). Returns the snapshot key a restore/arrive
-  /// should be checked against, when applicable.
+  /// respect to controller state — apply_batch records metrics and
+  /// snapshots itself). Returns the snapshot key of the node or commodity
+  /// a crash/restore/depart/arrive names ({'n', node} or {'c', commodity}).
   std::optional<std::pair<char, std::size_t>> stage_event(
       const ChurnEvent& event, Config& config) const;
   /// Per-kind event counter for stage_event's metrics recording.
@@ -310,10 +297,17 @@ class Controller {
   NodeId resolve_node(const std::string& text, const char* what) const;
   stream::CommodityId resolve_commodity(const std::string& text,
                                         const char* what) const;
+  /// Runs the pipeline under the watchdog. The result's iterations and
+  /// wall_seconds add up both attempts; `retried` reports a second attempt.
   solver::SolveResult watchdogged_solve(const solver::Problem& problem,
                                         const Config& config,
                                         std::optional<core::RoutingState> warm,
-                                        EventOutcome& outcome);
+                                        bool* retried = nullptr);
+  /// Fills outcome.recovery_iterations and utility_deficit against
+  /// outcome.optimum from the re-solve's utility history (or, without one,
+  /// from the settled utility alone).
+  void record_recovery(const solver::SolveResult& result,
+                       EventOutcome& outcome) const;
   void register_metrics();
 
   ControllerOptions options_;

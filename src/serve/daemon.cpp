@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -167,7 +168,9 @@ void Daemon::register_metrics() {
   m_rejected_ = m.counter("serve_rejected_total", "requests failing validation");
   m_queries_ = m.counter("serve_queries_total", "query requests answered");
   m_batches_ = m.counter("serve_batches_total", "coalesced batches flushed");
-  m_solves_ = m.counter("serve_solves_total", "apply_batch re-solves");
+  m_solves_ = m.counter("serve_solves_total",
+                        "apply_batch calls (staged batches + denial "
+                        "reverts; exact restores included)");
   m_forced_flush_ =
       m.counter("serve_batch_forced_flush",
                 "batches flushed by a timer or end-of-stream, not an arrival");
@@ -226,21 +229,7 @@ void Daemon::submit(const Request& request) {
   if (request.kind == RequestKind::kQuery) {
     // Queries are answered from the post-batch plan; the only validation
     // is that the commodity exists in the baseline universe.
-    const stream::StreamNetwork& baseline = controller_->baseline();
-    bool known = false;
-    for (stream::CommodityId j = 0; j < baseline.commodity_count(); ++j) {
-      if (baseline.commodity_name(j) == request.commodity()) known = true;
-    }
-    if (!known) {
-      try {
-        std::size_t used = 0;
-        const unsigned long id = std::stoul(request.commodity(), &used);
-        known = used == request.commodity().size() &&
-                id < baseline.commodity_count();
-      } catch (...) {
-      }
-    }
-    if (!known) {
+    if (!controller_->find_commodity(request.commodity()).has_value()) {
       pending.reject_reason = "serve query: unknown commodity '" +
                               request.commodity() +
                               "' (baseline names or ids)";
@@ -260,37 +249,27 @@ void Daemon::submit(const Request& request) {
   pending_.push_back(std::move(pending));
 }
 
+bool Daemon::read_rates(DecisionRecord& record) const {
+  // The commodity's id in the current network (rebuilds renumber
+  // commodities).
+  const std::optional<stream::CommodityId> j = controller_->find_commodity(
+      record.request.commodity(), /*in_current=*/true);
+  if (j.has_value()) {
+    record.requested = controller_->network().lambda(*j);
+    record.admitted = controller_->admitted()[*j];
+  }
+  record.share =
+      record.requested > 0.0 ? record.admitted / record.requested : 0.0;
+  return j.has_value();
+}
+
 DecisionRecord Daemon::decide_admit(const Pending& pending,
-                                    const ctrl::BatchOutcome& outcome,
+                                    const ctrl::EventOutcome& outcome,
                                     std::vector<ctrl::ChurnEvent>& reverts) {
   DecisionRecord record;
   record.request = pending.request;
 
-  // Resolve the commodity in the post-batch network by its baseline name
-  // (rebuilds renumber commodities, names survive).
-  const stream::StreamNetwork& baseline = controller_->baseline();
-  std::string name = pending.request.commodity();
-  bool named = false;
-  for (stream::CommodityId j = 0; j < baseline.commodity_count(); ++j) {
-    if (baseline.commodity_name(j) == name) named = true;
-  }
-  if (!named) {
-    const unsigned long id = std::stoul(name);  // check_event validated it
-    name = baseline.commodity_name(static_cast<stream::CommodityId>(id));
-  }
-  const stream::StreamNetwork& net = controller_->network();
-  bool present = false;
-  for (stream::CommodityId j = 0; j < net.commodity_count(); ++j) {
-    if (net.commodity_name(j) != name) continue;
-    record.requested = net.lambda(j);
-    record.admitted = controller_->admitted()[j];
-    present = true;
-    break;
-  }
-  record.share =
-      record.requested > 0.0 ? record.admitted / record.requested : 0.0;
-
-  if (!present) {
+  if (!read_rates(record)) {
     // A later depart in the same batch removed the commodity again before
     // the decision point; there is nothing to admit and nothing to revert.
     record.outcome = Outcome::kDeny;
@@ -344,7 +323,7 @@ void Daemon::decide_batch(bool forced) {
     if (p.staged) staged.push_back(p.request.event);
   }
 
-  ctrl::BatchOutcome outcome;
+  ctrl::EventOutcome outcome;
   outcome.status = solver::Status::kConverged;  // empty batch: nothing moved
   double wall = 0.0;
   if (!staged.empty()) {
@@ -385,7 +364,7 @@ void Daemon::decide_batch(bool forced) {
   }
 
   if (!reverts.empty()) {
-    const ctrl::BatchOutcome undo = controller_->apply_batch(reverts);
+    const ctrl::EventOutcome undo = controller_->apply_batch(reverts);
     ++report_.solves;
     controller_->metrics().add(m_solves_);
     wall += undo.wall_seconds;
@@ -393,31 +372,9 @@ void Daemon::decide_batch(bool forced) {
 
   // Queries read the settled plan (denials already reverted out).
   const double utility = controller_->utility();
-  const stream::StreamNetwork& net = controller_->network();
   for (DecisionRecord& record : records) {
-    if (record.outcome == Outcome::kReport) {
-      // Same baseline-name resolution as decide_admit.
-      const stream::StreamNetwork& baseline = controller_->baseline();
-      std::string name = record.request.commodity();
-      bool named = false;
-      for (stream::CommodityId j = 0; j < baseline.commodity_count(); ++j) {
-        if (baseline.commodity_name(j) == name) named = true;
-      }
-      if (!named) {
-        name = baseline.commodity_name(
-            static_cast<stream::CommodityId>(std::stoul(name)));
-      }
-      bool present = false;
-      for (stream::CommodityId j = 0; j < net.commodity_count(); ++j) {
-        if (net.commodity_name(j) != name) continue;
-        record.requested = net.lambda(j);
-        record.admitted = controller_->admitted()[j];
-        present = true;
-        break;
-      }
-      if (!present) record.reason = "absent";
-      record.share =
-          record.requested > 0.0 ? record.admitted / record.requested : 0.0;
+    if (record.outcome == Outcome::kReport && !read_rates(record)) {
+      record.reason = "absent";
     }
     record.batch = batch;
     record.decided_at = decided_at;

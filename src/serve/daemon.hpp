@@ -194,8 +194,11 @@ class Daemon {
 
   void open_batch(std::size_t time);
   void decide_batch(bool forced);
+  /// Fills record.requested/admitted/share from the current plan; false
+  /// when the commodity is absent from the current network.
+  bool read_rates(DecisionRecord& record) const;
   DecisionRecord decide_admit(const Pending& pending,
-                              const ctrl::BatchOutcome& outcome,
+                              const ctrl::EventOutcome& outcome,
                               std::vector<ctrl::ChurnEvent>& reverts);
   void finalize_record(DecisionRecord record);
   void register_metrics();

@@ -508,7 +508,7 @@ TEST(RemapRouting, RemovedCommodityDropsAndSurvivorsStayFeasible) {
 TEST(RemapRouting, NewCommodityStartsAtTheAllRejectedConvention) {
   // Compose baseline -> A (S2 departed) with baseline -> B (identity): the
   // A -> B maps contain a commodity of B with no pre-image in A — the
-  // re-arrival case the shrink-only transfer_routing cannot express.
+  // re-arrival case a shrink-only (without_server) surgery never produces.
   maxutil::gen::Figure1Ids ids;
   const StreamNetwork net = maxutil::gen::figure1_example({}, &ids);
   maxutil::stream::RebuildSpec depart;

@@ -180,7 +180,7 @@ TEST(Controller, WarmStartsAreStrictlyFeasible) {
     EXPECT_TRUE(o.warm_started);
     // The degradation policy hands the optimizer a point strictly inside
     // the capacity guard.
-    EXPECT_LT(o.warm_start_violation, 0.0) << o.event.describe();
+    EXPECT_LT(o.warm_start_violation, 0.0) << o.describe();
   }
 }
 
@@ -213,6 +213,19 @@ TEST(Controller, FreezePolicyColdStartsOnInfeasibleCarryOver) {
   EXPECT_TRUE(outcome.degraded_infeasible);
   EXPECT_TRUE(outcome.cold_started);
   EXPECT_FALSE(outcome.warm_started);
+  // `message` is only a failure cause; the flag records the cold start.
+  EXPECT_TRUE(maxutil::solver::is_usable(outcome.status));
+  EXPECT_EQ(outcome.message, "");
+
+  // A two-event batch takes the same path.
+  Controller twin(net, options);
+  const EventOutcome batch = twin.apply_batch(
+      parse_churn_plan("cap=Server 3*0.02@1,cap=Server 4*0.9@1").events);
+  EXPECT_TRUE(batch.degraded_infeasible);
+  EXPECT_TRUE(batch.cold_started);
+  EXPECT_FALSE(batch.warm_started);
+  EXPECT_TRUE(maxutil::solver::is_usable(batch.status));
+  EXPECT_EQ(batch.message, "");
 }
 
 TEST(Controller, ProportionalPolicyKeepsWarmStartOnSameEvent) {
@@ -406,6 +419,95 @@ TEST(Controller, FailedRetryKeepsDegradedInterimPoint) {
   EXPECT_TRUE(maxutil::solver::is_usable(next.status));
   EXPECT_GT(controller.utility(), 0.0);
   g_flaky_fail_lo = g_flaky_fail_hi = 0;
+}
+
+TEST(Controller, FailedFreezeBatchReportsTheSolverCause) {
+  register_flaky_solver();
+  g_flaky_calls = 0;
+  g_flaky_fail_lo = 2;
+  g_flaky_fail_hi = 3;  // boot passes; the batch's attempt AND retry die
+  const auto net = maxutil::gen::figure1_example();
+  ControllerOptions options = fast_options();
+  options.pipeline = "flaky";
+  options.policy = DegradationPolicy::kFreeze;
+  Controller controller(net, options);
+  const EventOutcome outcome = controller.apply_batch(
+      parse_churn_plan("cap=Server 3*0.02@1,cap=Server 4*0.9@1").events);
+  EXPECT_TRUE(outcome.degraded_infeasible);
+  EXPECT_FALSE(maxutil::solver::is_usable(outcome.status));
+  EXPECT_EQ(outcome.message, "flaky: scripted failure");
+  EXPECT_EQ(controller.report().failures, 1u);
+  g_flaky_fail_lo = g_flaky_fail_hi = 0;
+}
+
+// --- One apply path ---
+
+std::string state_blob(const Controller& controller) {
+  std::ostringstream out;
+  controller.export_state(out);
+  return out.str();
+}
+
+void expect_same_outcome(const EventOutcome& a, const EventOutcome& b) {
+  EXPECT_EQ(a.describe(), b.describe());
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.warm_started, b.warm_started);
+  EXPECT_EQ(a.cold_started, b.cold_started);
+  EXPECT_EQ(a.exact_restore, b.exact_restore);
+  EXPECT_EQ(a.watchdog_retry, b.watchdog_retry);
+  EXPECT_EQ(a.degraded_infeasible, b.degraded_infeasible);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.recovery_iterations, b.recovery_iterations);
+  EXPECT_EQ(a.utility_before, b.utility_before);
+  EXPECT_EQ(a.utility_after, b.utility_after);
+  EXPECT_EQ(a.optimum, b.optimum);
+  EXPECT_EQ(a.utility_deficit, b.utility_deficit);
+  EXPECT_EQ(a.warm_start_violation, b.warm_start_violation);
+  EXPECT_EQ(a.message, b.message);
+}
+
+TEST(ControllerApplyPath, EventAndSingletonBatchAgreeForEveryKind) {
+  const auto net = maxutil::gen::figure1_example();
+  ControllerOptions options = fast_options();
+  options.lp_reference = true;  // compare the recovery SLOs too
+  Controller one(net, options);
+  Controller twin(net, options);
+  // Every kind; restore@4 and arrive@6 are exact restores, restore@9 is not.
+  const ChurnPlan plan = parse_churn_plan(
+      "cap=Server 3*0.5@1,bw=Server 3-Server 5*0.5@2,crash=Server 2@3,"
+      "restore=Server 2@4,depart=S2@5,arrive=S2@6,crash=Server 2@7,"
+      "cap=Server 4*0.5@8,restore=Server 2@9");
+  std::size_t exact = 0;
+  for (const ChurnEvent& event : plan.events) {
+    SCOPED_TRACE(event.describe());
+    const EventOutcome a = one.apply(event);
+    const EventOutcome b = twin.apply_batch({event});
+    expect_same_outcome(a, b);
+    EXPECT_EQ(state_blob(one), state_blob(twin));
+    if (a.exact_restore) ++exact;
+  }
+  EXPECT_EQ(exact, 2u);
+  EXPECT_EQ(one.report().events.size(), plan.events.size());
+  EXPECT_TRUE(twin.report().events.empty());
+}
+
+TEST(ControllerApplyPath, CrashInsideABatchTakesNoSnapshot) {
+  const auto net = maxutil::gen::figure1_example();
+  Controller controller(net, fast_options());
+  controller.apply_batch(
+      parse_churn_plan("crash=Server 2@1,cap=Server 3*2@1").events);
+  // Undo the scale: the configuration now differs from the pre-batch one
+  // only by the crash, so a snapshot taken at the crash would match.
+  controller.apply(parse_churn_plan("cap=Server 3*0.5@2").events[0]);
+  const EventOutcome restore =
+      controller.apply(parse_churn_plan("restore=Server 2@3").events[0]);
+  EXPECT_FALSE(restore.exact_restore);
+  EXPECT_TRUE(restore.warm_started);
+  EXPECT_TRUE(maxutil::solver::is_usable(restore.status));
+  const auto id = controller.metrics().find("ctrl_exact_restores_total");
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(controller.metrics().counter_value(*id), 0u);
+  EXPECT_EQ(controller.network().node_count(), net.node_count());
 }
 
 // --- Determinism ---

@@ -158,8 +158,9 @@ TEST(WarmStart, TransferredRoutingIsValidAndNearOptimal) {
 
   const auto surgery = maxutil::stream::without_server(net, ids.server[1]);
   const ExtendedGraph new_xg(surgery.network);
-  const auto warm = maxutil::core::transfer_routing(xg, before.routing(),
-                                                    new_xg, surgery);
+  const auto warm =
+      maxutil::core::remap_routing(xg, before.routing(), new_xg, surgery)
+          .value();
   EXPECT_TRUE(warm.is_valid(new_xg, 1e-9));
 
   // Warm start must begin with substantial utility already admitted (the
@@ -196,8 +197,8 @@ TEST(WarmStart, ConvergesFasterThanColdStart) {
     return count;
   };
 
-  const auto warm_routing = maxutil::core::transfer_routing(
-      xg, before.routing(), new_xg, surgery);
+  const auto warm_routing = maxutil::core::remap_routing(
+      xg, before.routing(), new_xg, surgery).value();
   GradientOptimizer warm(new_xg, options, warm_routing);
   GradientOptimizer cold(new_xg, options);
   const std::size_t warm_iters = iterations_to(warm, 0.95 * target);
@@ -225,8 +226,9 @@ TEST(WarmStart, RepairsOverloadedTransfer) {
 
   const auto surgery = maxutil::stream::without_server(net, ids.server[1]);
   const ExtendedGraph new_xg(surgery.network);
-  const auto warm = maxutil::core::transfer_routing(xg, before.routing(),
-                                                    new_xg, surgery);
+  const auto warm =
+      maxutil::core::remap_routing(xg, before.routing(), new_xg, surgery)
+          .value();
   const auto flows = maxutil::core::compute_flows(new_xg, warm);
   for (NodeId v = 0; v < new_xg.node_count(); ++v) {
     if (!new_xg.has_finite_capacity(v)) continue;

@@ -176,7 +176,8 @@ TEST(Integration, FailureSurgeryWarmRestartRoundTrip) {
   if (surgery.network.commodity_count() == 0) return;  // nothing to restart
   const ExtendedGraph new_xg(surgery.network, penalty);
   const auto warm =
-      maxutil::core::transfer_routing(xg, before.routing(), new_xg, surgery);
+      maxutil::core::remap_routing(xg, before.routing(), new_xg, surgery)
+          .value();
   maxutil::core::GradientOptimizer after(new_xg, gopt, warm);
   after.run();
   const auto reference = maxutil::xform::solve_reference(new_xg);

@@ -448,7 +448,7 @@ int cmd_churn(const std::string& path,
   for (const ctrl::EventOutcome& outcome : report.events) {
     if (!solver::is_usable(outcome.status)) {
       std::fprintf(stderr, "warning: event '%s' failed: %s\n",
-                   outcome.event.describe().c_str(),
+                   outcome.describe().c_str(),
                    outcome.message.empty() ? solver::to_string(outcome.status)
                                            : outcome.message.c_str());
     }
