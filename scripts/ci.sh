@@ -11,7 +11,10 @@
 # with -fno-sanitize-recover, so a report aborts the binary) over the
 # runtime, fault, sim, property, ctrl and serve suites — the shard queues,
 # counting-sort inbox offsets and fault draws are hand-indexed, and the
-# serve suite drives the protocol parser, WAL reader and snapshot import.
+# serve suite drives the protocol parser, WAL reader and snapshot import —
+# and over the la, lp and lp_diff suites: the sparse revised simplex is the
+# only LP engine, so its hand-indexed CSC arrays, eta file and
+# Gilbert–Peierls reach back every LP stage.
 # Phase 4: solver-parity leg — the unified solver layer's
 # registry/adapter/pipeline suite re-run in isolation, so a parity break is
 # named in the CI log even when earlier phases fail for unrelated reasons.
@@ -73,13 +76,17 @@ cmake --build --preset asan -j"${jobs}" --target obs_test property_test \
 
 cmake --preset ubsan
 cmake --build --preset ubsan -j"${jobs}" --target runtime_parallel_test \
-  fault_test sim_test property_test ctrl_test serve_test
+  fault_test sim_test property_test ctrl_test serve_test la_test lp_test \
+  lp_diff_test
 ./build-ubsan/tests/runtime_parallel_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/sim_test
 ./build-ubsan/tests/property_test
 ./build-ubsan/tests/ctrl_test
 ./build-ubsan/tests/serve_test
+./build-ubsan/tests/la_test
+./build-ubsan/tests/lp_test
+./build-ubsan/tests/lp_diff_test
 
 # Solver parity: every registry adapter bit-identical to its optimizer,
 # every backend within tolerance of the LP optimum (tests/solver_test.cpp).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -13,12 +11,16 @@
 #include "core/flow.hpp"
 #include "core/warm_start.hpp"
 #include "util/check.hpp"
+#include "util/hexfloat.hpp"
 #include "util/table.hpp"
 #include "xform/lp_reference.hpp"
 
 namespace maxutil::ctrl {
 
 using maxutil::util::ensure;
+using maxutil::util::hex_double;
+using maxutil::util::read_double;
+using maxutil::util::read_size;
 
 namespace {
 
@@ -70,35 +72,8 @@ core::RoutingState priority_shed(const xform::ExtendedGraph& xg,
   return initial;
 }
 
-/// Bit-exact double rendering for export_state: C hexfloats survive a text
-/// round trip without rounding, unlike any decimal precision.
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-/// strtod parses hexfloats (std::istream's num_get does not); the token must
-/// be consumed whole.
-double parse_double(const std::string& token) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  ensure(end != nullptr && end != token.c_str() && *end == '\0',
-         "ctrl state: malformed number '" + token + "'");
-  return v;
-}
-
-double read_double(std::istream& in) {
-  std::string token;
-  ensure(static_cast<bool>(in >> token), "ctrl state: truncated blob");
-  return parse_double(token);
-}
-
-std::size_t read_size(std::istream& in) {
-  std::size_t v = 0;
-  ensure(static_cast<bool>(in >> v), "ctrl state: truncated blob");
-  return v;
-}
+/// Error-message prefix of the export_state blob reader.
+constexpr std::string_view kState = "ctrl state";
 
 /// An entity given as a baseline name or a decimal baseline id (a name
 /// wins); nullopt when neither matches.
@@ -755,11 +730,11 @@ void Controller::import_state(std::istream& in) {
   std::string magic;
   ensure(static_cast<bool>(in >> magic) && magic == "maxutil-ctrl-state",
          "ctrl state: bad magic (not an export_state blob)");
-  const std::size_t version = read_size(in);
+  const std::size_t version = read_size(in, kState);
   ensure(version == 1 || version == 2, "ctrl state: unsupported version");
-  ensure(read_size(in) == baseline_.node_count() &&
-             read_size(in) == baseline_.link_count() &&
-             read_size(in) == baseline_.commodity_count(),
+  ensure(read_size(in, kState) == baseline_.node_count() &&
+             read_size(in, kState) == baseline_.link_count() &&
+             read_size(in, kState) == baseline_.commodity_count(),
          "ctrl state: baseline shape mismatch (the blob was exported against "
          "a different network)");
 
@@ -771,29 +746,29 @@ void Controller::import_state(std::istream& in) {
     config.cap_factor.resize(baseline_.node_count());
     config.bw_factor.resize(baseline_.link_count());
     config.lambda_factor.resize(baseline_.commodity_count());
-    for (char& v : config.node_down) v = read_size(in) != 0 ? 1 : 0;
-    for (char& v : config.link_down) v = read_size(in) != 0 ? 1 : 0;
-    for (char& v : config.commodity_absent) v = read_size(in) != 0 ? 1 : 0;
-    for (double& v : config.cap_factor) v = read_double(in);
-    for (double& v : config.bw_factor) v = read_double(in);
-    for (double& v : config.lambda_factor) v = read_double(in);
+    for (char& v : config.node_down) v = read_size(in, kState) != 0 ? 1 : 0;
+    for (char& v : config.link_down) v = read_size(in, kState) != 0 ? 1 : 0;
+    for (char& v : config.commodity_absent) v = read_size(in, kState) != 0 ? 1 : 0;
+    for (double& v : config.cap_factor) v = read_double(in, kState);
+    for (double& v : config.bw_factor) v = read_double(in, kState);
+    for (double& v : config.lambda_factor) v = read_double(in, kState);
     return config;
   };
   const auto read_routing = [&in](const xform::ExtendedGraph& xg) {
     core::RoutingState routing(xg);
-    const std::size_t slots = read_size(in);
+    const std::size_t slots = read_size(in, kState);
     ensure(slots == routing.slot_count(),
            "ctrl state: routing slot count mismatch (blob " +
                std::to_string(slots) + ", rebuilt graph " +
                std::to_string(routing.slot_count()) + ")");
     for (std::size_t s = 0; s < slots; ++s) {
-      routing.set_phi_slot(s, read_double(in));
+      routing.set_phi_slot(s, read_double(in, kState));
     }
     return routing;
   };
   const auto read_admitted = [&in]() {
-    std::vector<double> admitted(read_size(in));
-    for (double& v : admitted) v = read_double(in);
+    std::vector<double> admitted(read_size(in, kState));
+    for (double& v : admitted) v = read_double(in, kState);
     return admitted;
   };
 
@@ -806,16 +781,16 @@ void Controller::import_state(std::istream& in) {
   ensure(routing.is_valid(state->problem->extended(), 1e-9),
          "ctrl state: restored routing violates invariants");
   std::vector<double> admitted = read_admitted();
-  const double utility = read_double(in);
-  const std::size_t applied = read_size(in);
-  const std::size_t snapshot_count = read_size(in);
+  const double utility = read_double(in, kState);
+  const std::size_t applied = read_size(in, kState);
+  const std::size_t snapshot_count = read_size(in, kState);
   std::map<std::pair<char, std::size_t>, Snapshot> snapshots;
   for (std::size_t i = 0; i < snapshot_count; ++i) {
     char kind = 0;
     ensure(static_cast<bool>(in >> kind) && (kind == 'n' || kind == 'c'),
            "ctrl state: bad snapshot key");
-    const std::size_t id = read_size(in);
-    const double snap_utility = read_double(in);
+    const std::size_t id = read_size(in, kState);
+    const double snap_utility = read_double(in, kState);
     Config snap_config = read_config();
     // Each pending exact-restore snapshot carries a routing over its *own*
     // configuration's extended graph — rebuild it to recover the index.
@@ -830,7 +805,7 @@ void Controller::import_state(std::istream& in) {
   }
   // A "<length> <digits>" line whose digits are each at most `max_digit`.
   const auto read_digits = [&in](int max_digit, const char* what) {
-    const std::size_t length = read_size(in);
+    const std::size_t length = read_size(in, kState);
     std::string digits;
     if (length > 0) {
       ensure(static_cast<bool>(in >> digits) && digits.size() == length,
@@ -848,7 +823,7 @@ void Controller::import_state(std::istream& in) {
   if (version >= 2) {
     std::string label;
     ensure(static_cast<bool>(in >> label) && label == "lp-bases" &&
-               read_size(in) == lp_slots.size(),
+               read_size(in, kState) == lp_slots.size(),
            "ctrl state: bad lp-bases section");
     const std::size_t layout_length = baseline_.node_count() +
                                       baseline_.link_count() +

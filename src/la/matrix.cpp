@@ -1,7 +1,5 @@
 #include "la/matrix.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace maxutil::la {
@@ -20,12 +18,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init)
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::operator()(std::size_t r, std::size_t c) {
   ensure(r < rows_ && c < cols_, "Matrix: index out of range");
   return data_[r * cols_ + c];
@@ -34,72 +26,6 @@ double& Matrix::operator()(std::size_t r, std::size_t c) {
 double Matrix::operator()(std::size_t r, std::size_t c) const {
   ensure(r < rows_ && c < cols_, "Matrix: index out of range");
   return data_[r * cols_ + c];
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  ensure(r < rows_, "Matrix::row: out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  ensure(r < rows_, "Matrix::row: out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> x) const {
-  ensure(x.size() == cols_, "Matrix::multiply: dimension mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double total = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) total += row_ptr[c] * x[c];
-    y[r] = total;
-  }
-  return y;
-}
-
-std::vector<double> Matrix::multiply_transposed(
-    std::span<const double> y) const {
-  ensure(y.size() == rows_, "Matrix::multiply_transposed: dimension mismatch");
-  std::vector<double> x(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double yr = y[r];
-    if (yr == 0.0) continue;
-    const double* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) x[c] += yr * row_ptr[c];
-  }
-  return x;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  ensure(cols_ == other.rows_, "Matrix::multiply: dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = data_[r * cols_ + k];
-      if (a == 0.0) continue;
-      const double* brow = other.data_.data() + k * other.cols_;
-      double* orow = out.data_.data() + r * other.cols_;
-      for (std::size_t c = 0; c < other.cols_; ++c) orow[c] += a * brow[c];
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = data_[r * cols_ + c];
-  }
-  return out;
-}
-
-void Matrix::swap_rows(std::size_t a, std::size_t b) {
-  ensure(a < rows_ && b < rows_, "Matrix::swap_rows: out of range");
-  if (a == b) return;
-  std::swap_ranges(data_.begin() + static_cast<std::ptrdiff_t>(a * cols_),
-                   data_.begin() + static_cast<std::ptrdiff_t>((a + 1) * cols_),
-                   data_.begin() + static_cast<std::ptrdiff_t>(b * cols_));
 }
 
 }  // namespace maxutil::la

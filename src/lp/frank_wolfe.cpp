@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "lp/revised_simplex.hpp"
 #include "util/check.hpp"
 
 namespace maxutil::lp {
@@ -66,7 +67,7 @@ FrankWolfeSolution maximize_concave(
 
   // Initial point: any vertex (maximize the zero objective).
   for (VarId v = 0; v < n; ++v) oracle.set_objective_coefficient(v, 0.0);
-  const LpSolution start = solve(oracle, options.simplex);
+  const LpSolution start = solve_revised(oracle);
   if (start.status != LpStatus::kOptimal) {
     out.status = start.status;
     return out;
@@ -77,7 +78,7 @@ FrankWolfeSolution maximize_concave(
     const std::vector<double> grad = gradient(x);
     ensure(grad.size() == n, "maximize_concave: gradient dimension mismatch");
     for (VarId v = 0; v < n; ++v) oracle.set_objective_coefficient(v, grad[v]);
-    const LpSolution vertex = solve(oracle, options.simplex);
+    const LpSolution vertex = solve_revised(oracle);
     if (vertex.status != LpStatus::kOptimal) {
       out.status = vertex.status;
       return out;

@@ -16,6 +16,11 @@ namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Basis pivots between LU refactorizations. The eta file grows one sparse
+/// column per pivot; refactorizing bounds both the FTRAN/BTRAN cost and the
+/// accumulated roundoff, and recomputes the basic values from scratch.
+constexpr std::size_t kRefactorInterval = 64;
+
 /// One product-form update: after the pivot that replaced basis position
 /// `row` with the column whose FTRAN image was w, B_new^{-1} = E^{-1}
 /// B_old^{-1} where E is the identity with column `row` replaced by w.
@@ -34,7 +39,6 @@ class RevisedSolver {
     m_ = problem.constraint_count();
     n_ = problem.variable_count();
     total_ = n_ + m_;
-    if (opt_.refactor_interval == 0) opt_.refactor_interval = 64;
     max_iters_ = opt_.max_iterations ? opt_.max_iterations
                                      : 200 * (m_ + n_) + 10000;
 
@@ -476,7 +480,7 @@ class RevisedSolver {
       etas_.push_back(std::move(eta));
       ++iters_;
 
-      if (etas_.size() >= opt_.refactor_interval) {
+      if (etas_.size() >= kRefactorInterval) {
         if (!factorize()) return LpStatus::kIterationLimit;
         compute_basic_values();
       }

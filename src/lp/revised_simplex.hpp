@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "lp/model.hpp"
-#include "lp/simplex.hpp"
 
 namespace maxutil::lp {
 
@@ -44,12 +43,6 @@ struct RevisedSimplexOptions {
   /// switch; 0 selects 2*(rows+cols) + 100. Exposed so the anti-cycling
   /// regression tests can force the switch deterministically.
   std::size_t stall_pivot_limit = 0;
-  /// Basis pivots between LU refactorizations. The eta file (product-form
-  /// updates) grows one sparse column per pivot; refactorizing bounds both
-  /// the FTRAN/BTRAN cost and the accumulated roundoff, and recomputes the
-  /// basic values from scratch. Small values favor accuracy, large values
-  /// speed. 0 selects 64.
-  std::size_t refactor_interval = 0;
 };
 
 /// Solves `problem` with a bounded-variable sparse revised simplex: CSC

@@ -1,34 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "lp/model.hpp"
 
 namespace maxutil::lp {
-
-/// Outcome of a simplex solve.
-enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
-
-/// Human-readable status name.
-const char* to_string(LpStatus status);
-
-/// Solver result. `x` is in the natural variable space of the LpProblem
-/// (same indexing as LpProblem VarIds); `objective` is in the problem's
-/// declared sense (i.e. the maximized value for kMaximize problems).
-struct LpSolution {
-  LpStatus status = LpStatus::kIterationLimit;
-  double objective = 0.0;
-  std::vector<double> x;
-  std::size_t iterations = 0;
-  /// Dual value (shadow price) per constraint row, in declaration order:
-  /// the derivative of the optimal objective — in the problem's declared
-  /// sense — with respect to that row's right-hand side. For a capacity row
-  /// `usage <= C` of a maximization, duals[i] is the marginal utility of one
-  /// more unit of capacity (0 when the row is slack). Non-unique at
-  /// degenerate optima, as usual.
-  std::vector<double> duals;
-};
 
 /// Tuning knobs for the simplex solver.
 struct SimplexOptions {
@@ -49,12 +25,11 @@ struct SimplexOptions {
 
 /// Solves `problem` with a dense two-phase primal simplex.
 ///
-/// This is the centralized reference solver the paper calls "an optimization
-/// solver": it produces the optimal-utility line of Figure 4 and the target
-/// values the distributed algorithms are tested against. Bounded variables,
+/// Not a production engine: every LP stage runs lp::solve_revised. This
+/// tableau is the independent oracle the LP tests check the sparse engine
+/// against, and the dense rung of the LP scaling bench. Bounded variables,
 /// free variables, and all three row relations are handled by internal
-/// standard-form conversion. Exact (up to `tolerance`) on the instance sizes
-/// in this repository.
+/// standard-form conversion.
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options = {});
 
 }  // namespace maxutil::lp

@@ -1,18 +1,21 @@
 #include "serve/daemon.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/hexfloat.hpp"
 #include "util/stats.hpp"
 
 namespace maxutil::serve {
 
 using maxutil::util::ensure;
+using maxutil::util::hex_double;
+using maxutil::util::read_double;
+using maxutil::util::read_size;
 
 namespace {
 
@@ -24,32 +27,8 @@ std::string fmt(double v) {
   return buf;
 }
 
-/// Bit-exact double rendering for snapshots (same convention as
-/// Controller::export_state — istream's num_get cannot parse hexfloat, so
-/// reading goes token-by-token through strtod).
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-double snap_read_double(std::istream& in) {
-  std::string token;
-  in >> token;
-  ensure(!token.empty(), "serve snapshot: truncated double");
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  ensure(end == token.c_str() + token.size(),
-         "serve snapshot: bad double '" + token + "'");
-  return v;
-}
-
-std::size_t snap_read_size(std::istream& in) {
-  std::size_t v = 0;
-  in >> v;
-  ensure(static_cast<bool>(in), "serve snapshot: truncated integer");
-  return v;
-}
+/// Error-message prefix of the snapshot header reader.
+constexpr std::string_view kSnapshot = "serve snapshot";
 
 }  // namespace
 
@@ -486,18 +465,18 @@ void Daemon::import_snapshot(std::istream& in) {
   in >> magic >> version;
   ensure(magic == "maxutil-serve-daemon" && version == 1,
          "serve snapshot: bad header '" + magic + "'");
-  const std::size_t batches = snap_read_size(in);
-  const std::size_t solves = snap_read_size(in);
-  const std::size_t last_time = snap_read_size(in);
-  const std::size_t admits = snap_read_size(in);
-  const std::size_t degrades = snap_read_size(in);
-  const std::size_t denies = snap_read_size(in);
-  const std::size_t applied = snap_read_size(in);
-  const std::size_t rejected = snap_read_size(in);
-  const std::size_t queries = snap_read_size(in);
-  const std::size_t forced = snap_read_size(in);
-  const std::size_t overloaded = snap_read_size(in);
-  const double initial_utility = snap_read_double(in);
+  const std::size_t batches = read_size(in, kSnapshot);
+  const std::size_t solves = read_size(in, kSnapshot);
+  const std::size_t last_time = read_size(in, kSnapshot);
+  const std::size_t admits = read_size(in, kSnapshot);
+  const std::size_t degrades = read_size(in, kSnapshot);
+  const std::size_t denies = read_size(in, kSnapshot);
+  const std::size_t applied = read_size(in, kSnapshot);
+  const std::size_t rejected = read_size(in, kSnapshot);
+  const std::size_t queries = read_size(in, kSnapshot);
+  const std::size_t forced = read_size(in, kSnapshot);
+  const std::size_t overloaded = read_size(in, kSnapshot);
+  const double initial_utility = read_double(in, kSnapshot);
   controller_->import_state(in);
   std::string trailer;
   in >> trailer;

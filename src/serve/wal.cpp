@@ -15,11 +15,13 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/hexfloat.hpp"
 
 namespace maxutil::serve {
 
 namespace fs = std::filesystem;
 using maxutil::util::ensure;
+using maxutil::util::hex_double;
 
 std::uint64_t fnv1a64(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -36,12 +38,6 @@ std::string hex64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
   return buf;
 }
 

@@ -1,11 +1,11 @@
-// Registry adapters for the centralized LP reference
-// (xform::solve_reference): the transformed problem solved exactly, with
-// concave utilities encoded piecewise-linearly. Two backends share this
-// translation unit and the solve path: "lp" (dense two-phase tableau) and
-// "lp-sparse" (sparse revised simplex, warm-started from the caller's
-// SolveOptions::lp_basis). Both emit a routing recovered from the optimal
-// vertex (core::routing_from_flows) so pipelines can warm-start iterative
-// stages from the LP optimum.
+// Registry adapter for the centralized LP reference
+// (xform::solve_reference): the transformed problem solved exactly on the
+// sparse revised simplex, with concave utilities encoded piecewise-linearly
+// and warm-started from the caller's SolveOptions::lp_basis. One solve is
+// registered under two names, "lp" and "lp-sparse". It emits a routing
+// recovered from the optimal vertex (core::routing_from_flows) so pipelines
+// can warm-start iterative stages from the LP optimum; the LP itself never
+// reads SolveOptions::warm_start.
 
 #include <algorithm>
 #include <string>
@@ -30,23 +30,11 @@ Status map_status(lp::LpStatus status) {
   return Status::kFailed;
 }
 
-SolveResult solve_lp_common(const Problem& problem, const SolveOptions& options,
-                            xform::LpBackend backend) {
+SolveResult solve_lp(const Problem& problem, const SolveOptions& options) {
   xform::ReferenceOptions ro;
   ro.pwl_segments = static_cast<std::size_t>(
       options.extra_number("pwl_segments", static_cast<double>(ro.pwl_segments)));
-  // extra["lp_backend"] overrides the registered default, so any LP-routed
-  // pipeline or CLI invocation can flip implementations without a new
-  // registry name.
-  const std::string requested = options.extra_text(
-      "lp_backend", backend == xform::LpBackend::kSparse ? "sparse" : "dense");
-  ro.backend = requested == "sparse" ? xform::LpBackend::kSparse
-                                     : xform::LpBackend::kDense;
-  if (ro.backend == xform::LpBackend::kSparse) {
-    ro.revised.refactor_interval = static_cast<std::size_t>(
-        options.extra_number("refactor_interval", 0.0));
-    ro.warm_basis = options.lp_basis;
-  }
+  ro.warm_basis = options.lp_basis;
 
   const auto reference = xform::solve_reference(problem.extended(), ro);
   SolveResult result;
@@ -73,37 +61,17 @@ SolveResult solve_lp_common(const Problem& problem, const SolveOptions& options,
   return result;
 }
 
-SolveResult solve_lp(const Problem& problem, const SolveOptions& options) {
-  return solve_lp_common(problem, options, xform::LpBackend::kDense);
-}
-
-SolveResult solve_lp_sparse(const Problem& problem,
-                            const SolveOptions& options) {
-  return solve_lp_common(problem, options, xform::LpBackend::kSparse);
-}
-
 }  // namespace
 
-void register_lp_solver(SolverRegistry& registry) {
+void register_lp_solver(SolverRegistry& registry, const char* name) {
   SolverInfo info;
-  info.name = "lp";
+  info.name = name;
   info.description =
-      "centralized LP reference: two-phase simplex on the transformed "
-      "problem (PWL-encoded concave utilities)";
+      "centralized LP reference: sparse revised simplex on the transformed "
+      "problem (PWL-encoded concave utilities), warm-startable via "
+      "SolveOptions::lp_basis";
   info.emits_routing = true;
   info.solve = solve_lp;
-  registry.add(std::move(info));
-}
-
-void register_lp_sparse_solver(SolverRegistry& registry) {
-  SolverInfo info;
-  info.name = "lp-sparse";
-  info.description =
-      "centralized LP reference on the sparse revised simplex: LU-factored "
-      "basis with eta updates, warm-startable via SolveOptions::lp_basis";
-  info.emits_routing = true;
-  info.supports_warm_start = true;
-  info.solve = solve_lp_sparse;
   registry.add(std::move(info));
 }
 

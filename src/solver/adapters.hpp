@@ -12,8 +12,9 @@ class SolverRegistry;
 void register_gradient_solver(SolverRegistry& registry);
 void register_distributed_solver(SolverRegistry& registry);
 void register_backpressure_solver(SolverRegistry& registry);
-void register_lp_solver(SolverRegistry& registry);
-void register_lp_sparse_solver(SolverRegistry& registry);
+/// The LP reference, registered once per name it answers to ("lp" and
+/// "lp-sparse" run the identical solve).
+void register_lp_solver(SolverRegistry& registry, const char* name);
 void register_frank_wolfe_solver(SolverRegistry& registry);
 
 }  // namespace maxutil::solver

@@ -20,9 +20,9 @@ SolverRegistry& SolverRegistry::instance() {
     register_gradient_solver(*r);
     register_distributed_solver(*r);
     register_backpressure_solver(*r);
-    register_lp_solver(*r);
+    register_lp_solver(*r, "lp");
     register_frank_wolfe_solver(*r);
-    register_lp_sparse_solver(*r);
+    register_lp_solver(*r, "lp-sparse");
     return r;
   }();
   return *registry;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "lp/frank_wolfe.hpp"
 #include "lp/pwl.hpp"
@@ -17,8 +16,7 @@ using maxutil::lp::Sense;
 using maxutil::lp::VarId;
 using maxutil::util::ensure;
 
-FlowPolytope build_flow_polytope(const ExtendedGraph& xg,
-                                 bool generate_names) {
+FlowPolytope build_flow_polytope(const ExtendedGraph& xg) {
   const auto& g = xg.graph();
   const CommodityIndex& idx = xg.index();
   const std::size_t ncommodities = xg.commodity_count();
@@ -36,12 +34,8 @@ FlowPolytope build_flow_polytope(const ExtendedGraph& xg,
     const std::size_t count = idx.edge_end(j) - idx.edge_begin(j);
     out.flow_var[j].reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
-      const EdgeId e = idx.edge(idx.slot_by_id(j, k));
-      const VarId var = out.problem.add_variable(
-          generate_names ? "y[j" + std::to_string(j) + ",e" +
-                               std::to_string(e) + "]"
-                         : std::string());
-      out.flow_var[j].emplace_back(e, var);
+      out.flow_var[j].emplace_back(idx.edge(idx.slot_by_id(j, k)),
+                                   out.problem.add_variable(""));
     }
     out.admitted_var[j] = static_cast<VarId>(
         idx.edge_begin(j) + idx.id_rank(idx.dummy_input_slot(j)));
@@ -103,7 +97,7 @@ ReferenceSolution solve_reference(const ExtendedGraph& xg,
   const auto& g = xg.graph();
   const std::size_t ncommodities = xg.commodity_count();
 
-  FlowPolytope polytope = build_flow_polytope(xg, options.generate_names);
+  FlowPolytope polytope = build_flow_polytope(xg);
   LpProblem& problem = polytope.problem;
   problem.set_sense(Sense::kMaximize);
 
@@ -119,17 +113,13 @@ ReferenceSolution solve_reference(const ExtendedGraph& xg,
           [&utility](double a) { return utility.value(a); }, lambda,
           options.pwl_segments);
       const VarId a = maxutil::lp::add_pwl_admission_variable(
-          problem, lambda, pwl,
-          options.generate_names ? "a" + std::to_string(j) : std::string());
+          problem, lambda, pwl, "");
       problem.add_constraint({{a, 1.0}, {admitted, -1.0}}, Relation::kEq, 0.0);
     }
   }
 
   const auto lp_solution =
-      options.backend == LpBackend::kSparse
-          ? maxutil::lp::solve_revised(problem, options.revised,
-                                       options.warm_basis)
-          : maxutil::lp::solve(problem, options.simplex);
+      maxutil::lp::solve_revised(problem, {}, options.warm_basis);
 
   ReferenceSolution out;
   out.status = lp_solution.status;
@@ -141,9 +131,11 @@ ReferenceSolution solve_reference(const ExtendedGraph& xg,
   out.node_usage.assign(xg.node_count(), 0.0);
   double utility_total = 0.0;
   for (CommodityId j = 0; j < ncommodities; ++j) {
-    out.admitted[j] = lp_solution.x[polytope.admitted_var[j]];
-    utility_total += xg.network().utility(j).value(
-        std::clamp(out.admitted[j], 0.0, xg.lambda(j)));
+    // std::max(0.0, -0.0) is +0.0 (std::clamp would keep the sign bit), so
+    // a rejected commodity never reports "-0".
+    out.admitted[j] = std::min(
+        std::max(0.0, lp_solution.x[polytope.admitted_var[j]]), xg.lambda(j));
+    utility_total += xg.network().utility(j).value(out.admitted[j]);
     for (const auto& [e, var] : polytope.flow_var[j]) {
       const double y = lp_solution.x[var];
       if (y > 1e-9) out.flows[j].emplace_back(e, y);

@@ -5,16 +5,9 @@
 #include <vector>
 
 #include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
 #include "xform/extended_graph.hpp"
 
 namespace maxutil::xform {
-
-/// Which simplex implementation solves the reference LP.
-enum class LpBackend {
-  kDense,   // lp::solve — dense two-phase tableau (reference implementation)
-  kSparse,  // lp::solve_revised — sparse revised simplex, warm-startable
-};
 
 /// Options for the centralized LP reference solve.
 struct ReferenceOptions {
@@ -22,25 +15,12 @@ struct ReferenceOptions {
   /// are encoded exactly). More segments shrink the concave-approximation
   /// gap at the cost of LP size.
   std::size_t pwl_segments = 200;
-  lp::SimplexOptions simplex;
-  /// Backend selection. Both produce the same statuses, objectives (within
-  /// tolerance) and dual conventions; kSparse scales to instances whose
-  /// dense tableau would not fit in memory and supports warm starts.
-  LpBackend backend = LpBackend::kDense;
-  /// Knobs for the kSparse backend (ignored by kDense).
-  lp::RevisedSimplexOptions revised;
-  /// Optional warm-start basis for kSparse: when non-null, a previous basis
-  /// is adopted on entry and the final basis is written back, so repeated
-  /// solves of a drifting instance (churn, admission batches) re-pivot from
-  /// the last optimum. The basis is only portable across solves whose
-  /// polytope has identical variable/constraint layout; a mismatched basis
-  /// is ignored.
+  /// Optional warm-start basis: when non-null, a previous basis is adopted
+  /// on entry and the final basis is written back, so repeated solves of a
+  /// drifting instance (churn, admission batches) re-pivot from the last
+  /// optimum. The basis is only portable across solves whose polytope has
+  /// identical variable/constraint layout; a mismatched basis is ignored.
   lp::SimplexBasis* warm_basis = nullptr;
-  /// Generate human-readable variable names ("y[j3,e17]", "a3.seg0") for the
-  /// polytope and PWL variables. Names are diagnostics-only; building the
-  /// strings dominates polytope assembly at scale, so they are off by
-  /// default.
-  bool generate_names = false;
 };
 
 /// The centralized optimum of the transformed problem — the paper's
@@ -85,17 +65,17 @@ struct FlowPolytope {
 };
 
 /// Assembles the polytope (shared by the simplex reference and the
-/// Frank-Wolfe cross-check) from the graph's CommodityIndex. Variable names
-/// are diagnostics-only and cost real time/memory at scale, so they are
-/// generated only on request.
-FlowPolytope build_flow_polytope(const ExtendedGraph& xg,
-                                 bool generate_names = false);
+/// Frank-Wolfe cross-check) from the graph's CommodityIndex. Variables are
+/// unnamed: names would dominate assembly time and memory at scale.
+FlowPolytope build_flow_polytope(const ExtendedGraph& xg);
 
-/// Builds and solves the exact multicommodity LP on the extended graph:
+/// Builds and solves the exact multicommodity LP on the extended graph with
+/// lp::solve_revised:
 ///
 ///   max  sum_j U_j(a_j)  over the FlowPolytope,
 ///
 /// with non-linear concave utilities encoded by piecewise-linear segments.
+/// Admitted rates are reported clamped to [0, lambda_j], never as -0.
 /// This solves the *original* constrained problem (no penalty barrier), so
 /// its value upper-bounds what the penalty-regularized distributed
 /// algorithms converge to; the gap is controlled by epsilon (bench E3).

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
-#include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
-#include "la/vector_ops.hpp"
+#include "la/sparse_lu.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -14,33 +14,60 @@
 namespace {
 
 using maxutil::la::CsrMatrix;
-using maxutil::la::LuFactorization;
 using maxutil::la::Matrix;
-using maxutil::la::Triplet;
+using maxutil::la::SparseColumnView;
+using maxutil::la::SparseLu;
 using maxutil::util::CheckError;
 using maxutil::util::Rng;
 
-TEST(VectorOps, DotAxpyNorms) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{4.0, 5.0, 6.0};
-  EXPECT_DOUBLE_EQ(maxutil::la::dot(a, b), 32.0);
-  std::vector<double> y = b;
-  maxutil::la::axpy(2.0, a, y);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[2], 12.0);
-  EXPECT_DOUBLE_EQ(maxutil::la::norm_inf(a), 3.0);
-  EXPECT_DOUBLE_EQ(maxutil::la::norm2(std::vector<double>{3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(maxutil::la::sum(a), 6.0);
-  const auto d = maxutil::la::subtract(b, a);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
+/// The non-zeros of a dense matrix, column by column, in the shape
+/// SparseLu factorizes. The views point into this object's storage.
+struct Columns {
+  std::vector<std::vector<std::uint32_t>> rows;
+  std::vector<std::vector<double>> values;
+  std::vector<SparseColumnView> views;
+
+  explicit Columns(const Matrix& a) : rows(a.cols()), values(a.cols()) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      for (std::size_t r = 0; r < a.rows(); ++r) {
+        if (a(r, c) == 0.0) continue;
+        rows[c].push_back(static_cast<std::uint32_t>(r));
+        values[c].push_back(a(r, c));
+      }
+      views.push_back({rows[c], values[c]});
+    }
+  }
+};
+
+std::vector<double> multiply(const Matrix& a, const std::vector<double>& x) {
+  std::vector<double> y(a.rows(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) y[r] += a(r, c) * x[c];
+  }
+  return y;
 }
 
-TEST(VectorOps, SizeMismatchThrows) {
-  const std::vector<double> a{1.0};
-  const std::vector<double> b{1.0, 2.0};
-  EXPECT_THROW(maxutil::la::dot(a, b), CheckError);
-  std::vector<double> y{1.0};
-  EXPECT_THROW(maxutil::la::axpy(1.0, b, y), CheckError);
+std::vector<double> multiply_transposed(const Matrix& a,
+                                        const std::vector<double>& y) {
+  std::vector<double> x(a.cols(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) x[c] += a(r, c) * y[r];
+  }
+  return x;
+}
+
+/// A random n x n matrix with about `density` off-diagonal fill, made
+/// diagonally dominant (hence invertible) by `dominance`.
+Matrix random_dominant(Rng& rng, std::size_t n, double density,
+                       double dominance) {
+  Matrix a(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (r == c || rng.chance(density)) a(r, c) = rng.uniform(-1.0, 1.0);
+    }
+    a(r, r) += dominance;
+  }
+  return a;
 }
 
 TEST(Matrix, ConstructionAndAccess) {
@@ -61,91 +88,65 @@ TEST(Matrix, InitializerListAndRaggedRejected) {
   EXPECT_THROW(Matrix({{1.0, 2.0}, {3.0}}), CheckError);
 }
 
-TEST(Matrix, IdentityMultiply) {
-  const Matrix eye = Matrix::identity(3);
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  EXPECT_EQ(eye.multiply(x), x);
-}
-
-TEST(Matrix, MultiplyKnown) {
-  const Matrix m{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const auto y = m.multiply(std::vector<double>{1.0, 1.0});
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[2], 11.0);
-  const auto xt = m.multiply_transposed(std::vector<double>{1.0, 0.0, 1.0});
-  ASSERT_EQ(xt.size(), 2u);
-  EXPECT_DOUBLE_EQ(xt[0], 6.0);
-  EXPECT_DOUBLE_EQ(xt[1], 8.0);
-}
-
-TEST(Matrix, MatrixProductAndTranspose) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b{{0.0, 1.0}, {1.0, 0.0}};
-  const Matrix c = a.multiply(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 4.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 3.0);
-  const Matrix at = a.transposed();
-  EXPECT_DOUBLE_EQ(at(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(at(1, 0), 2.0);
-}
-
-TEST(Matrix, SwapRows) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  m.swap_rows(0, 1);
-  EXPECT_DOUBLE_EQ(m(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m(1, 1), 2.0);
-}
+// LU cases run against la::SparseLu, the revised simplex's basis
+// factorization and the only LU in src/la.
 
 TEST(Lu, SolvesKnownSystem) {
   // x + 2y = 5; 3x + 4y = 11  ->  x = 1, y = 2.
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const auto x = maxutil::la::solve_dense(a, std::vector<double>{5.0, 11.0});
-  ASSERT_EQ(x.size(), 2u);
+  const Columns a(Matrix{{1.0, 2.0}, {3.0, 4.0}});
+  const SparseLu lu(2, a.views);
+  ASSERT_FALSE(lu.singular());
+  std::vector<double> x{5.0, 11.0};
+  lu.solve_in_place(x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, RequiresPivoting) {
   // Zero top-left pivot forces a row swap.
-  const Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  const auto x = maxutil::la::solve_dense(a, std::vector<double>{3.0, 7.0});
+  const Columns a(Matrix{{0.0, 1.0}, {1.0, 0.0}});
+  const SparseLu lu(2, a.views);
+  ASSERT_FALSE(lu.singular());
+  std::vector<double> x{3.0, 7.0};
+  lu.solve_in_place(x);
   EXPECT_NEAR(x[0], 7.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
-TEST(Lu, SingularThrows) {
-  const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(LuFactorization{a}, CheckError);
+TEST(Lu, SingularIsReportedNotThrown) {
+  // Numerically singular (dependent columns) and structurally singular (an
+  // empty column): both factorize without throwing and report singular();
+  // only a solve against the factors is an error.
+  for (const Matrix& m : {Matrix{{1.0, 2.0}, {2.0, 4.0}},
+                          Matrix{{1.0, 0.0}, {3.0, 0.0}}}) {
+    const Columns a(m);
+    const SparseLu lu(2, a.views);
+    EXPECT_TRUE(lu.singular());
+    std::vector<double> b{1.0, 1.0};
+    EXPECT_THROW(lu.solve_in_place(b), CheckError);
+    EXPECT_THROW(lu.solve_transposed_in_place(b), CheckError);
+  }
 }
 
 TEST(Lu, NonSquareThrows) {
-  const Matrix a(2, 3);
-  EXPECT_THROW(LuFactorization{a}, CheckError);
-}
-
-TEST(Lu, Determinant) {
-  const Matrix a{{2.0, 0.0}, {0.0, 3.0}};
-  EXPECT_NEAR(LuFactorization(a).determinant(), 6.0, 1e-12);
-  const Matrix swapped{{0.0, 1.0}, {1.0, 0.0}};
-  EXPECT_NEAR(LuFactorization(swapped).determinant(), -1.0, 1e-12);
+  // Three columns for a 2 x 2 factorization.
+  const Columns a(Matrix(2, 3));
+  EXPECT_THROW(SparseLu(2, a.views), CheckError);
 }
 
 TEST(Lu, RandomRoundTrip) {
   Rng rng(101);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(1, 12));
-    Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-2.0, 2.0);
-      a(r, r) += 4.0;  // diagonally dominant, hence invertible
-    }
+    // Alternate dense and sparse fill: the sparse ones exercise the reach.
+    const Matrix a = random_dominant(rng, n, trial % 2 == 0 ? 1.0 : 0.2, 4.0);
     std::vector<double> x_true(n);
     for (auto& v : x_true) v = rng.uniform(-10.0, 10.0);
-    const auto b = a.multiply(x_true);
-    const auto x = maxutil::la::solve_dense(a, b);
+    std::vector<double> x = multiply(a, x_true);
+    const Columns columns(a);
+    const SparseLu lu(n, columns.views);
+    ASSERT_FALSE(lu.singular());
+    lu.solve_in_place(x);
     EXPECT_LT(maxutil::util::max_abs_diff(x, x_true), 1e-8);
   }
 }
@@ -153,16 +154,14 @@ TEST(Lu, RandomRoundTrip) {
 TEST(Lu, TransposedSolveRoundTrip) {
   Rng rng(103);
   const std::size_t n = 8;
-  Matrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
-    a(r, r) += 3.0;
-  }
+  const Matrix a = random_dominant(rng, n, 0.5, 3.0);
   std::vector<double> x_true(n);
   for (auto& v : x_true) v = rng.uniform(-5.0, 5.0);
-  const auto b = a.multiply_transposed(x_true);  // b = A^T x
-  const LuFactorization lu(a);
-  const auto x = lu.solve_transposed(b);
+  std::vector<double> x = multiply_transposed(a, x_true);  // b = A^T x
+  const Columns columns(a);
+  const SparseLu lu(n, columns.views);
+  ASSERT_FALSE(lu.singular());
+  lu.solve_transposed_in_place(x);
   EXPECT_LT(maxutil::util::max_abs_diff(x, x_true), 1e-9);
 }
 
@@ -170,64 +169,16 @@ TEST(Csr, AssemblyAccumulatesDuplicates) {
   CsrMatrix m(2, 2,
               {{0, 1, 2.0}, {0, 1, 3.0}, {1, 0, 1.0}});
   EXPECT_EQ(m.nonzeros(), 2u);
-  const auto row0 = m.row_entries(0);
-  ASSERT_EQ(row0.size(), 1u);
-  EXPECT_EQ(row0[0].first, 1u);
-  EXPECT_DOUBLE_EQ(row0[0].second, 5.0);
+  const auto cols = m.row_columns(0);
+  const auto vals = m.row_values(0);
+  ASSERT_EQ(cols.size(), 1u);
+  ASSERT_EQ(vals.size(), 1u);
+  EXPECT_EQ(cols[0], 1u);
+  EXPECT_DOUBLE_EQ(vals[0], 5.0);
 }
 
 TEST(Csr, OutOfRangeEntryThrows) {
   EXPECT_THROW(CsrMatrix(2, 2, {{2, 0, 1.0}}), CheckError);
-}
-
-TEST(Csr, MultiplyMatchesDense) {
-  Rng rng(107);
-  const std::size_t n = 20;
-  Matrix dense(n, n);
-  std::vector<Triplet> entries;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      if (rng.chance(0.2)) {
-        const double v = rng.uniform(-1.0, 1.0);
-        dense(r, c) = v;
-        entries.push_back({r, c, v});
-      }
-    }
-  }
-  const CsrMatrix sparse(n, n, entries);
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.uniform(-3.0, 3.0);
-  EXPECT_LT(maxutil::util::max_abs_diff(sparse.multiply(x), dense.multiply(x)),
-            1e-12);
-  EXPECT_LT(maxutil::util::max_abs_diff(sparse.multiply_transposed(x),
-                                        dense.multiply_transposed(x)),
-            1e-12);
-}
-
-TEST(Csr, FixedPointSolvesTriangularSystem) {
-  // x = b + A x with A strictly lower-triangular (loop-free routing shape).
-  const CsrMatrix a(3, 3, {{1, 0, 0.5}, {2, 0, 0.25}, {2, 1, 0.5}});
-  const std::vector<double> b{1.0, 0.0, 0.0};
-  const auto x = a.solve_fixed_point(b);
-  EXPECT_NEAR(x[0], 1.0, 1e-10);
-  EXPECT_NEAR(x[1], 0.5, 1e-10);
-  EXPECT_NEAR(x[2], 0.5, 1e-10);
-}
-
-TEST(Csr, FixedPointContractiveCycleConverges) {
-  // A has a cycle but spectral radius 0.25 < 1.
-  const CsrMatrix a(2, 2, {{0, 1, 0.5}, {1, 0, 0.5}});
-  const std::vector<double> b{1.0, 0.0};
-  const auto x = a.solve_fixed_point(b);
-  // x0 = 1 + 0.5 x1, x1 = 0.5 x0  ->  x0 = 4/3, x1 = 2/3.
-  EXPECT_NEAR(x[0], 4.0 / 3.0, 1e-9);
-  EXPECT_NEAR(x[1], 2.0 / 3.0, 1e-9);
-}
-
-TEST(Csr, FixedPointDivergesOnExpandingCycle) {
-  const CsrMatrix a(2, 2, {{0, 1, 2.0}, {1, 0, 2.0}});
-  const std::vector<double> b{1.0, 1.0};
-  EXPECT_THROW(a.solve_fixed_point(b, 1e-12, 200), CheckError);
 }
 
 }  // namespace

@@ -55,11 +55,13 @@ TEST(SolverRegistry, CapabilityFlagsMatchTheBackends) {
   EXPECT_TRUE(registry.find("distributed")->supports_threads);
   EXPECT_TRUE(registry.find("distributed")->supports_observation);
   EXPECT_FALSE(registry.find("backpressure")->emits_routing);
-  EXPECT_TRUE(registry.find("lp")->emits_routing);
-  EXPECT_FALSE(registry.find("lp")->supports_warm_start);
   EXPECT_FALSE(registry.find("fw")->emits_routing);
-  EXPECT_TRUE(registry.find("lp-sparse")->emits_routing);
-  EXPECT_TRUE(registry.find("lp-sparse")->supports_warm_start);
+  // Both LP names run the one LP solve: it emits a routing, and it takes no
+  // routing warm start (its basis arrives through SolveOptions::lp_basis).
+  for (const char* name : {"lp", "lp-sparse"}) {
+    EXPECT_TRUE(registry.find(name)->emits_routing) << name;
+    EXPECT_FALSE(registry.find(name)->supports_warm_start) << name;
+  }
 }
 
 TEST(SolverRegistry, UnknownSolverThrowsWithLiveNames) {
@@ -207,6 +209,27 @@ TEST(AdapterParity, LpMatchesDirectSolveExactly) {
   EXPECT_EQ(result.utility, direct.optimal_utility);
   EXPECT_EQ(result.node_usage, direct.node_usage);
   EXPECT_EQ(result.iterations, direct.iterations);
+}
+
+TEST(AdapterParity, LpAndLpSparseRunTheIdenticalSolve) {
+  const auto net = figure1();
+  const solver::Problem problem(net);
+  const auto& registry = solver::SolverRegistry::instance();
+  const auto lp = registry.solve("lp", problem, {});
+  const auto sparse = registry.solve("lp-sparse", problem, {});
+  ASSERT_EQ(lp.status, solver::Status::kConverged);
+  EXPECT_EQ(sparse.status, lp.status);
+  EXPECT_EQ(sparse.admitted, lp.admitted);
+  EXPECT_EQ(sparse.utility, lp.utility);
+  EXPECT_EQ(sparse.iterations, lp.iterations);
+  EXPECT_EQ(sparse.node_usage, lp.node_usage);
+  EXPECT_EQ(sparse.metrics, lp.metrics);
+  ASSERT_TRUE(lp.routing.has_value());
+  ASSERT_TRUE(sparse.routing.has_value());
+  ASSERT_EQ(sparse.routing->slot_count(), lp.routing->slot_count());
+  for (std::size_t s = 0; s < lp.routing->slot_count(); ++s) {
+    EXPECT_EQ(sparse.routing->phi_slot(s), lp.routing->phi_slot(s)) << s;
+  }
 }
 
 TEST(AdapterParity, LpSparseWritesItsBasisBackAndReSolvesFromIt) {

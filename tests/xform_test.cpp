@@ -6,7 +6,7 @@
 #include "gen/figure1.hpp"
 #include "gen/random_instance.hpp"
 #include "graph/algorithms.hpp"
-#include "lp/simplex.hpp"
+#include "scenario/scenario.hpp"
 #include "stream/model.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -340,6 +340,61 @@ TEST(LpReference, LogUtilitySplitsBottleneckEvenly) {
   EXPECT_NEAR(ref.admitted[c1], 5.0, 0.1);
   EXPECT_NEAR(ref.admitted[c2], 5.0, 0.1);
   EXPECT_NEAR(ref.optimal_utility, 2.0 * std::log(6.0), 1e-2);
+}
+
+TEST(LpReference, RejectedCommodityReportsPositiveZero) {
+  // examples/scenarios/video_pipeline.maxutil: the weight-2 east feed takes
+  // all of the shared decode capacity, so west is rejected outright. The
+  // optimal vertex holds west's admitted rate as -0.0; the report must not
+  // carry the sign bit, which prints as "-0.000" in the CLI table and "-0"
+  // in JSON and decision logs.
+  const StreamNetwork net = maxutil::scenario::parse_string(R"(
+server cam-east   80
+server cam-west   80
+server decode     60
+server detect-a   50
+server detect-b   50
+sink   ops-east
+sink   ops-west
+link cam-east decode   120
+link cam-west decode   120
+link decode detect-a   200
+link decode detect-b   200
+link detect-a ops-east 50
+link detect-b ops-east 50
+link detect-a ops-west 50
+link detect-b ops-west 50
+commodity east cam-east ops-east 40 linear*2
+use east cam-east decode 1
+use east decode detect-a 2
+use east decode detect-b 2
+use east detect-a ops-east 1
+use east detect-b ops-east 1
+potential east decode 1
+potential east detect-a 2
+potential east detect-b 2
+potential east ops-east 0.2
+commodity west cam-west ops-west 40 linear
+use west cam-west decode 1
+use west decode detect-a 2
+use west decode detect-b 2
+use west detect-a ops-west 1
+use west detect-b ops-west 1
+potential west decode 1
+potential west detect-a 2
+potential west detect-b 2
+potential west ops-west 0.2
+)");
+  const ExtendedGraph xg(net);
+  const auto ref = maxutil::xform::solve_reference(xg);
+  ASSERT_EQ(ref.status, maxutil::lp::LpStatus::kOptimal);
+  ASSERT_EQ(ref.admitted.size(), 2u);
+  EXPECT_NEAR(ref.admitted[0], 30.0, 1e-9);
+  EXPECT_EQ(ref.admitted[1], 0.0);
+  for (std::size_t j = 0; j < ref.admitted.size(); ++j) {
+    EXPECT_FALSE(std::signbit(ref.admitted[j])) << "commodity " << j;
+    EXPECT_LE(ref.admitted[j], xg.lambda(j)) << "commodity " << j;
+  }
 }
 
 TEST(LpReference, FlowsSatisfyShrinkageBalance) {

@@ -90,10 +90,6 @@ int usage_to(std::FILE* out) {
       " write a chrome://tracing JSON (or CSV if FILE ends\n"
       "          in .csv); --metrics-report: print the metric catalog —"
       " all three imply observation)\n"
-      "         (--lp-backend dense|sparse: simplex implementation for the"
-      " lp/lp-sparse stages — 'sparse' is the\n"
-      "          revised simplex that scales to large instances and supports"
-      " warm-started re-solves)\n"
       "       maxutil_cli churn <file> --plan SPEC [--algo NAME[,...]]"
       " [--policy proportional|priority|freeze]\n"
       "                            [--eps X] [--eta X] [--iters N] [--tol X]"
@@ -324,14 +320,6 @@ int cmd_solve(const std::string& path,
   options.report = flags.count("report") != 0;
   options.observe = want_obs;
   if (flags.count("faults") != 0) options.extra["faults"] = flags.at("faults");
-  // --lp-backend dense|sparse: which simplex implementation the lp/lp-sparse
-  // stages use (extra passthrough; other stages ignore it).
-  if (flags.count("lp-backend") != 0) {
-    const std::string& backend = flags.at("lp-backend");
-    util::ensure(backend == "dense" || backend == "sparse",
-                 "--lp-backend must be 'dense' or 'sparse'");
-    options.extra["lp_backend"] = backend;
-  }
 
   if (flags.count("compare") != 0 || flags.count("compare-json") != 0) {
     return run_compare(problem, options, path, flags);
