@@ -14,7 +14,10 @@
 # serve suite drives the protocol parser, WAL reader and snapshot import —
 # and over the la, lp and lp_diff suites: the sparse revised simplex is the
 # only LP engine, so its hand-indexed CSC arrays, eta file and
-# Gilbert–Peierls reach back every LP stage.
+# Gilbert–Peierls reach back every LP stage — and over the core, blocking
+# and index suites: the gradient step's marginal sweep, Gamma update and
+# flow forecast index per-edge derivative tables, reused per-local-node tag
+# buffers and the CSR slots by hand.
 # Phase 4: solver-parity leg — the unified solver layer's
 # registry/adapter/pipeline suite re-run in isolation, so a parity break is
 # named in the CI log even when earlier phases fail for unrelated reasons.
@@ -77,7 +80,7 @@ cmake --build --preset asan -j"${jobs}" --target obs_test property_test \
 cmake --preset ubsan
 cmake --build --preset ubsan -j"${jobs}" --target runtime_parallel_test \
   fault_test sim_test property_test ctrl_test serve_test la_test lp_test \
-  lp_diff_test
+  lp_diff_test core_test blocking_test index_test
 ./build-ubsan/tests/runtime_parallel_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/sim_test
@@ -87,6 +90,12 @@ cmake --build --preset ubsan -j"${jobs}" --target runtime_parallel_test \
 ./build-ubsan/tests/la_test
 ./build-ubsan/tests/lp_test
 ./build-ubsan/tests/lp_diff_test
+# The gradient sweeps index per-edge derivative tables, per-local-node tag
+# buffers and the CSR slots by hand; the golden-iterate, blocking and index
+# parity suites drive every one of them.
+./build-ubsan/tests/core_test
+./build-ubsan/tests/blocking_test
+./build-ubsan/tests/index_test
 
 # Solver parity: every registry adapter bit-identical to its optimizer,
 # every backend within tolerance of the LP optimum (tests/solver_test.cpp).

@@ -47,6 +47,14 @@ struct FlowState {
 /// Solves the flow balance equations (3) by propagating in topological order
 /// of each commodity's usable subgraph (a DAG, so the unique fixed point is
 /// reached in one pass), then accumulates f (eqs. 4-5) and the cost terms.
+/// Only dummy difference links carry a utility-loss cost and only
+/// finite-capacity nodes a penalty, so the cost sums visit just those (in
+/// ascending id order); every usage is still range-checked. Writes into
+/// `out`, reusing its storage.
+void compute_flows(const ExtendedGraph& xg, const RoutingState& routing,
+                   FlowState& out);
+
+/// Allocating form of the above.
 FlowState compute_flows(const ExtendedGraph& xg, const RoutingState& routing);
 
 /// Admitted rate a_j = flow on the dummy input link.

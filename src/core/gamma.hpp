@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "core/flow.hpp"
 #include "core/marginals.hpp"
@@ -46,13 +47,21 @@ struct GammaStats {
   std::size_t snapped_nodes = 0;  // nodes updated under the t -> 0 rule
 };
 
+/// Reusable scratch storage of `apply_gamma`: one blocked tag per flat local
+/// node and the eligible out-slots of the node being updated. Holding one
+/// across iterations makes a step allocation-free once warm.
+struct GammaScratch {
+  std::vector<char> tagged;         // [flat local node]
+  std::vector<std::size_t> eligible;
+};
+
 /// Computes the blocked-node tags of Section 5's protocol for commodity j:
 /// tagged[v] is true when v has a routing path (over phi > 0 links) to the
 /// sink containing an "improper" link (l, m) — one with phi_lm > 0,
 /// dA/dr_l <= dA/dr_m, and phi_lm large enough to survive this iteration
 /// (eq. 18). Nodes k with phi_ik = 0 and tagged[k] form B_i(j), and the
 /// update may not raise phi_ik from zero, which is what preserves loop
-/// freedom in Gallager's argument.
+/// freedom in Gallager's argument. Indexed by global node id.
 std::vector<bool> compute_blocked_tags(const ExtendedGraph& xg,
                                        const RoutingState& routing,
                                        const FlowState& flows,
@@ -63,6 +72,13 @@ std::vector<bool> compute_blocked_tags(const ExtendedGraph& xg,
 /// Applies one Gamma step (eqs. 14-17) in place: each node shifts routing
 /// fraction away from expensive links onto its cheapest non-blocked link,
 /// with per-link reduction Delta_ik = min(phi_ik, eta * a_ik / t_i).
+/// `marginals` must carry curvature when the step mode is curvature-scaled.
+GammaStats apply_gamma(const ExtendedGraph& xg, const FlowState& flows,
+                       const MarginalCosts& marginals,
+                       const GammaOptions& options, RoutingState& routing,
+                       GammaScratch& scratch);
+
+/// As above, with one-shot scratch storage.
 GammaStats apply_gamma(const ExtendedGraph& xg, const FlowState& flows,
                        const MarginalCosts& marginals,
                        const GammaOptions& options, RoutingState& routing);

@@ -18,7 +18,8 @@ namespace maxutil::core {
 ///
 /// Storage is flat SoA indexed by the CommodityIndex's local node ids
 /// (node_begin(j)..node_end(j) per commodity); `dr_at`/`curvature_at` look
-/// up by global node id.
+/// up by global node id. The per-edge derivative tables are filled by the
+/// same sweep, once per edge, and read by every slot over that edge.
 struct MarginalCosts {
   std::shared_ptr<const xform::CommodityIndex> index;
 
@@ -32,8 +33,18 @@ struct MarginalCosts {
   /// Powers the curvature-scaled (Newton-like) step variant that Gallager's
   /// paper sketches as the "second derivative algorithm"; an approximation
   /// (cross terms between sibling edges are dropped), which only affects
-  /// step *size*, never the descent property.
+  /// step *size*, never the descent property. Empty when the sweep ran
+  /// without curvature.
   std::vector<double> curvature;  // [flat local node]
+
+  /// dA_i/df_e = Y'_e(f_e) + eps*D'_i(f_i) with i the tail of e (eq. 11
+  /// with the paper's epsilon folded into D): the factor every slot over
+  /// edge e shares.
+  std::vector<double> d_cost_d_edge;  // [global edge]
+
+  /// Y''_e(f_e) + eps*D''_i(f_i), the second-derivative analogue; empty
+  /// when the sweep ran without curvature.
+  std::vector<double> d2_cost_d_edge;  // [global edge]
 
   /// dA/dr_v(j) by global node id; 0 when v is not a commodity-j node.
   double dr_at(CommodityId j, NodeId v) const {
@@ -51,28 +62,44 @@ struct MarginalCosts {
 
 /// The per-edge marginal of eq. (10)'s bracket (and eq. 15's a-term base):
 ///   dA_i/df_e * c_e(j) + beta_e(j) * dA/dr_head(j)
-/// where dA_i/df_e = Y'_e(f_e) + eps*D'_i(f_i) (eq. 11 with the paper's
-/// epsilon folded into D). Slot-addressed hot-path form.
-double marginal_via_slot(const ExtendedGraph& xg, const FlowState& flows,
-                         const MarginalCosts& marginals, std::size_t slot);
+/// Slot-addressed hot-path form.
+inline double marginal_via_slot(const MarginalCosts& marginals,
+                                std::size_t slot) {
+  const xform::CommodityIndex& idx = *marginals.index;
+  return marginals.d_cost_d_edge[idx.edge(slot)] * idx.cost_rate(slot) +
+         idx.beta(slot) * marginals.d_cost_d_input[idx.head_local(slot)];
+}
 
 /// Per-edge curvature kappa_e(j) = c^2 (Y'' + eps D'') + beta^2 K_head: the
-/// second-derivative analogue of `marginal_via_slot`.
-double curvature_via_slot(const ExtendedGraph& xg, const FlowState& flows,
-                          const MarginalCosts& marginals, std::size_t slot);
+/// second-derivative analogue of `marginal_via_slot`. Needs marginals swept
+/// with curvature.
+inline double curvature_via_slot(const MarginalCosts& marginals,
+                                 std::size_t slot) {
+  const xform::CommodityIndex& idx = *marginals.index;
+  const double c = idx.cost_rate(slot);
+  const double beta = idx.beta(slot);
+  return c * c * marginals.d2_cost_d_edge[idx.edge(slot)] +
+         beta * beta * marginals.curvature[idx.head_local(slot)];
+}
 
 /// (commodity, global edge) form of `marginal_via_slot`; the edge must be
 /// usable by j.
-double marginal_via_edge(const ExtendedGraph& xg, const FlowState& flows,
-                         const MarginalCosts& marginals, CommodityId j,
+double marginal_via_edge(const MarginalCosts& marginals, CommodityId j,
                          EdgeId e);
 
 /// (commodity, global edge) form of `curvature_via_slot`.
-double curvature_via_edge(const ExtendedGraph& xg, const FlowState& flows,
-                          const MarginalCosts& marginals, CommodityId j,
+double curvature_via_edge(const MarginalCosts& marginals, CommodityId j,
                           EdgeId e);
 
-/// Runs the upstream sweep (eq. 9) for every commodity.
+/// Runs the upstream sweep (eq. 9) for every commodity into `out`, reusing
+/// its storage. The curvature recursion and second-derivative table run
+/// only when `with_curvature` (the curvature-scaled step reads them);
+/// d_cost_d_input does not depend on it.
+void compute_marginals(const ExtendedGraph& xg, const RoutingState& routing,
+                       const FlowState& flows, bool with_curvature,
+                       MarginalCosts& out);
+
+/// Allocating form of the above, with curvature.
 MarginalCosts compute_marginals(const ExtendedGraph& xg,
                                 const RoutingState& routing,
                                 const FlowState& flows);

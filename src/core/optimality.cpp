@@ -7,7 +7,6 @@ namespace maxutil::core {
 
 OptimalityReport check_optimality(const ExtendedGraph& xg,
                                   const RoutingState& routing,
-                                  const FlowState& flows,
                                   const MarginalCosts& marginals) {
   const auto& idx = xg.index();
   OptimalityReport report;
@@ -18,7 +17,7 @@ OptimalityReport check_optimality(const ExtendedGraph& xg,
       const double dr_v = marginals.d_cost_d_input[local];
       double min_via = std::numeric_limits<double>::infinity();
       for (std::size_t s = idx.out_begin(local); s < idx.out_end(local); ++s) {
-        const double via = marginal_via_slot(xg, flows, marginals, s);
+        const double via = marginal_via_slot(marginals, s);
         min_via = std::min(min_via, via);
         // Sufficient condition (13): via >= dA/dr_v on every usable edge.
         report.sufficient_violation =
@@ -27,7 +26,7 @@ OptimalityReport check_optimality(const ExtendedGraph& xg,
       for (std::size_t s = idx.out_begin(local); s < idx.out_end(local); ++s) {
         const double phi = routing.phi_slot(s);
         if (phi <= 0.0) continue;
-        const double via = marginal_via_slot(xg, flows, marginals, s);
+        const double via = marginal_via_slot(marginals, s);
         // Necessary condition (12): loaded links sit at the minimum,
         // weighted by phi so vanishing fractions do not dominate.
         report.stationarity_gap =

@@ -31,7 +31,6 @@ struct OptimalityReport {
 /// optimum rather than merely stalling.
 OptimalityReport check_optimality(const ExtendedGraph& xg,
                                   const RoutingState& routing,
-                                  const FlowState& flows,
                                   const MarginalCosts& marginals);
 
 }  // namespace maxutil::core

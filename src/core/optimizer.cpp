@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -14,8 +15,7 @@ namespace {
 /// True when `flows` stays strictly inside the guarded capacity region.
 bool within_guard(const xform::ExtendedGraph& xg, const FlowState& flows,
                   double guard) {
-  for (NodeId v = 0; v < xg.node_count(); ++v) {
-    if (!xg.has_finite_capacity(v)) continue;
+  for (const NodeId v : xg.finite_capacity_nodes()) {
     if (flows.f_node[v] >= guard * xg.capacity(v)) return false;
   }
   return true;
@@ -46,6 +46,8 @@ GradientOptimizer::GradientOptimizer(const xform::ExtendedGraph& xg,
       options_(options),
       routing_(std::move(initial_routing)),
       flows_(compute_flows(xg, routing_)),
+      target_(routing_),
+      candidate_(routing_),
       history_({"iteration", "utility", "cost", "utility_loss", "penalty",
                 "max_phi_delta", "damping_rounds"}) {
   working_eta_ = options_.eta;
@@ -86,7 +88,8 @@ double GradientOptimizer::step() {
     divergence_iteration_ = iterations_;
     return 0.0;
   }
-  const MarginalCosts marginals = compute_marginals(*xg_, routing_, flows_);
+  compute_marginals(*xg_, routing_, flows_, options_.curvature_scaled,
+                    marginals_);
 
   GammaOptions gamma_options;
   gamma_options.eta = working_eta_;
@@ -95,8 +98,9 @@ double GradientOptimizer::step() {
                                 ? StepMode::kCurvatureScaled
                                 : StepMode::kEtaOverTraffic;
 
-  RoutingState target = routing_;
-  apply_gamma(*xg_, flows_, marginals, gamma_options, target);
+  target_ = routing_;
+  apply_gamma(*xg_, flows_, marginals_, gamma_options, target_,
+              gamma_scratch_);
 
   // Forecast protocol + safeguard: accept the full step when its predicted
   // flows respect the guard *and* the transformed cost does not increase;
@@ -106,18 +110,18 @@ double GradientOptimizer::step() {
   // prevents the fixed-eta update from oscillating against the barrier's
   // exploding curvature near capacity (see DESIGN.md).
   const double current_cost = flows_.cost();
-  RoutingState candidate = target;
-  FlowState candidate_flows = compute_flows(*xg_, candidate);
+  candidate_ = target_;
+  compute_flows(*xg_, candidate_, candidate_flows_);
   std::size_t damping = 0;
   double alpha = 1.0;
   // A non-finite candidate is damped like a guard violation (NaN compares
   // false everywhere, so without this clause it would slip through and
   // commit); if damping never recovers a finite step, the iteration is
   // rejected below like any other failed step.
-  while (!finite_flows(candidate_flows) ||
-         !within_guard(*xg_, candidate_flows, options_.capacity_guard) ||
+  while (!finite_flows(candidate_flows_) ||
+         !within_guard(*xg_, candidate_flows_, options_.capacity_guard) ||
          (options_.enforce_cost_decrease &&
-          candidate_flows.cost() > current_cost + 1e-12)) {
+          candidate_flows_.cost() > current_cost + 1e-12)) {
     if (++damping > options_.max_damping_rounds) {
       // Reject the step entirely; the iteration becomes a no-op.
       if (options_.adaptive_eta) {
@@ -129,14 +133,16 @@ double GradientOptimizer::step() {
       return 0.0;
     }
     alpha *= 0.5;
-    candidate = routing_;
-    candidate.blend_toward(target, alpha);
-    candidate_flows = compute_flows(*xg_, candidate);
+    candidate_ = routing_;
+    candidate_.blend_toward(target_, alpha);
+    compute_flows(*xg_, candidate_, candidate_flows_);
   }
 
-  const double max_delta = routing_.max_difference(candidate);
-  routing_ = std::move(candidate);
-  flows_ = std::move(candidate_flows);
+  // Commit by swapping, so the old state's storage becomes next step's
+  // candidate workspace.
+  const double max_delta = routing_.max_difference(candidate_);
+  std::swap(routing_, candidate_);
+  std::swap(flows_, candidate_flows_);
   ++iterations_;
   if (options_.adaptive_eta) {
     if (damping > 0) {
@@ -180,7 +186,7 @@ std::vector<double> GradientOptimizer::admitted() const {
 
 OptimalityReport GradientOptimizer::optimality() const {
   const MarginalCosts marginals = compute_marginals(*xg_, routing_, flows_);
-  return check_optimality(*xg_, routing_, flows_, marginals);
+  return check_optimality(*xg_, routing_, marginals);
 }
 
 PhysicalAllocation GradientOptimizer::allocation() const {

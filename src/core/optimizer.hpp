@@ -55,7 +55,8 @@ struct GradientOptions {
   /// with natural value 1.0; set it accordingly when enabling this.
   bool curvature_scaled = false;
 
-  /// Record a history row per iteration (disable for micro-benchmarks).
+  /// Record a history row per iteration (a utility evaluation each); turn
+  /// it off when nothing reads history().
   bool record_history = true;
 
   /// Floor under which t_i(j) triggers the t -> 0 update rule.
@@ -136,6 +137,14 @@ class GradientOptimizer {
   GradientOptions options_;
   RoutingState routing_;
   FlowState flows_;
+  // Per-step workspace, reused so a settled step allocates nothing: the
+  // Gamma target, the damped candidate and its forecast flows, the
+  // marginals and the Gamma scratch.
+  RoutingState target_;
+  RoutingState candidate_;
+  FlowState candidate_flows_;
+  MarginalCosts marginals_;
+  GammaScratch gamma_scratch_;
   std::size_t iterations_ = 0;
   double working_eta_ = 0.0;
   std::size_t clean_steps_ = 0;

@@ -52,12 +52,6 @@ void RoutingState::set_phi(CommodityId j, EdgeId e, double value) {
   phi_[slot] = std::max(value, 0.0);
 }
 
-void RoutingState::set_phi_slot(std::size_t slot, double value) {
-  ensure(slot < phi_.size(), "RoutingState::set_phi_slot: out of range");
-  ensure(value >= -1e-12, "RoutingState::set_phi_slot: negative fraction");
-  phi_[slot] = std::max(value, 0.0);
-}
-
 void RoutingState::assign_commodity(CommodityId j, const RoutingState& src) {
   ensure(src.phi_.size() == phi_.size() &&
              src.index_->commodity_count() == index_->commodity_count(),

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "util/check.hpp"
 #include "xform/extended_graph.hpp"
 
 namespace maxutil::core {
@@ -51,7 +53,13 @@ class RoutingState {
 
   /// Slot-addressed hot-path accessors (slots from the CommodityIndex).
   double phi_slot(std::size_t slot) const { return phi_[slot]; }
-  void set_phi_slot(std::size_t slot, double value);
+  void set_phi_slot(std::size_t slot, double value) {
+    maxutil::util::ensure(slot < phi_.size(),
+                          "RoutingState::set_phi_slot: out of range");
+    maxutil::util::ensure(value >= -1e-12,
+                          "RoutingState::set_phi_slot: negative fraction");
+    phi_[slot] = std::max(value, 0.0);
+  }
 
   const xform::CommodityIndex& index() const { return *index_; }
 

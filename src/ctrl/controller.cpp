@@ -92,6 +92,13 @@ std::optional<std::size_t> find_entity(const std::string& text,
   return std::nullopt;
 }
 
+/// A cumulative churn factor that stream::rebuild can apply: finite,
+/// positive and not subnormal. An overflowing or underflowing product is
+/// rejected at staging instead of failing the rebuild at the batch flush.
+bool normal_factor(double factor) {
+  return std::isnormal(factor) && factor > 0.0;
+}
+
 std::string status_cell(const EventOutcome& outcome) {
   if (outcome.exact_restore) return "exact";
   std::string start = outcome.warm_started ? "warm" : "cold";
@@ -326,7 +333,9 @@ solver::SolveResult Controller::watchdogged_solve(
   if (so.lp_basis != nullptr && !so.lp_basis->empty()) {
     metrics_.add(m_lp_warm_bases_);
   }
-  so.record_history = true;  // the recovery SLOs read the utility trace
+  // The recovery SLOs read the utility trace; they run only against the
+  // LP reference, so without it nothing reads the trace.
+  so.record_history = options_.lp_reference;
   if (options_.watchdog_iterations > 0 &&
       (so.max_iterations == 0 ||
        so.max_iterations > options_.watchdog_iterations)) {
@@ -382,6 +391,9 @@ std::optional<std::pair<char, std::size_t>> Controller::stage_event(
       ensure(!config.node_down[u],
              "churn cap: node '" + event.node + "' is down");
       config.cap_factor[u] *= event.factor;
+      ensure(normal_factor(config.cap_factor[u]),
+             "churn cap: node '" + event.node +
+                 "' capacity factor leaves the normal positive range");
       break;
     }
     case ChurnEventKind::kBwScale: {
@@ -392,6 +404,9 @@ std::optional<std::pair<char, std::size_t>> Controller::stage_event(
       for (stream::LinkId l = 0; l < baseline_.link_count(); ++l) {
         if (g.tail(l) != from || g.head(l) != to) continue;
         config.bw_factor[l] *= event.factor;
+        ensure(normal_factor(config.bw_factor[l]),
+               "churn bw: link " + event.from + "-" + event.to +
+                   " bandwidth factor leaves the normal positive range");
         any = true;
       }
       ensure(any, "churn bw: no baseline link " + event.from + "-" + event.to);
@@ -404,6 +419,9 @@ std::optional<std::pair<char, std::size_t>> Controller::stage_event(
                                              "' is already present");
       config.commodity_absent[j] = 0;
       config.lambda_factor[j] *= event.factor;
+      ensure(normal_factor(config.lambda_factor[j]),
+             "churn arrive: commodity '" + event.commodity +
+                 "' rate factor leaves the normal positive range");
       key = {'c', j};
       break;
     }
@@ -438,14 +456,8 @@ std::string Controller::check_event(
     for (const ChurnEvent& prior : staged) stage_event(prior, scratch);
     stage_event(event, scratch);
   } catch (const util::CheckError& e) {
-    // Strip the "<file>:<line>: check failed: " preamble — callers embed
-    // the reason in operator-facing decision logs that must not depend on
-    // the build tree's absolute paths.
-    std::string message = e.what();
-    const std::string marker = "check failed: ";
-    const std::size_t at = message.find(marker);
-    if (at != std::string::npos) message.erase(0, at + marker.size());
-    return message;
+    // Callers embed the reason in operator-facing decision logs.
+    return util::strip_check_preamble(e.what());
   }
   return {};
 }

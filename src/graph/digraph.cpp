@@ -27,16 +27,6 @@ EdgeId Digraph::add_edge(NodeId from, NodeId to) {
   return id;
 }
 
-NodeId Digraph::tail(EdgeId e) const {
-  ensure(e < edge_count(), "Digraph::tail: edge out of range");
-  return edges_[e].from;
-}
-
-NodeId Digraph::head(EdgeId e) const {
-  ensure(e < edge_count(), "Digraph::head: edge out of range");
-  return edges_[e].to;
-}
-
 std::span<const EdgeId> Digraph::out_edges(NodeId n) const {
   ensure(n < node_count(), "Digraph::out_edges: node out of range");
   return out_edges_[n];

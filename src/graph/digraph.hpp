@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace maxutil::graph {
 
 /// Dense node identifier: nodes are numbered 0..node_count()-1 in creation
@@ -43,10 +45,16 @@ class Digraph {
   std::size_t edge_count() const { return edges_.size(); }
 
   /// Tail (source endpoint) of an edge.
-  NodeId tail(EdgeId e) const;
+  NodeId tail(EdgeId e) const {
+    maxutil::util::ensure(e < edge_count(), "Digraph::tail: edge out of range");
+    return edges_[e].from;
+  }
 
   /// Head (target endpoint) of an edge.
-  NodeId head(EdgeId e) const;
+  NodeId head(EdgeId e) const {
+    maxutil::util::ensure(e < edge_count(), "Digraph::head: edge out of range");
+    return edges_[e].to;
+  }
 
   /// Ids of edges leaving `n`, in insertion order.
   std::span<const EdgeId> out_edges(NodeId n) const;

@@ -27,6 +27,12 @@ std::string fmt(double v) {
   return buf;
 }
 
+/// Decision reason of a batch whose re-solve failed: the solver's own
+/// message without any check preamble, so the log carries no build paths.
+std::string failed_solve_reason(const ctrl::EventOutcome& outcome) {
+  return "re-solve failed: " + util::strip_check_preamble(outcome.message);
+}
+
 /// Error-message prefix of the snapshot header reader.
 constexpr std::string_view kSnapshot = "serve snapshot";
 
@@ -263,7 +269,7 @@ DecisionRecord Daemon::decide_admit(const Pending& pending,
 
   if (outcome.status == solver::Status::kFailed) {
     record.outcome = Outcome::kDeny;
-    record.reason = "re-solve failed: " + outcome.message;
+    record.reason = failed_solve_reason(outcome);
     reverts.push_back(depart);
   } else if (record.share >= options_.admit_share) {
     record.outcome = Outcome::kAdmit;
@@ -327,7 +333,7 @@ void Daemon::decide_batch(bool forced) {
           record.request = pending.request;
           record.outcome = Outcome::kApplied;
           if (outcome.status == solver::Status::kFailed) {
-            record.reason = "re-solve failed: " + outcome.message;
+            record.reason = failed_solve_reason(outcome);
           }
           break;
         case RequestKind::kAdmit:

@@ -16,7 +16,7 @@ TimeSeries::TimeSeries(std::vector<std::string> column_names)
   ensure(unique.size() == names_.size(), "TimeSeries: duplicate column names");
 }
 
-void TimeSeries::append(const std::vector<double>& row) {
+void TimeSeries::append(std::span<const double> row) {
   ensure(row.size() == names_.size(), "TimeSeries::append: row width mismatch");
   for (std::size_t c = 0; c < row.size(); ++c) columns_[c].push_back(row[c]);
 }

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,11 @@ class TimeSeries {
   explicit TimeSeries(std::vector<std::string> column_names);
 
   /// Appends one row; `row.size()` must equal the number of columns.
-  void append(const std::vector<double>& row);
+  void append(std::span<const double> row);
+  /// Braced-row form: the row lives on the caller's stack, not the heap.
+  void append(std::initializer_list<double> row) {
+    append(std::span<const double>(row.begin(), row.size()));
+  }
 
   /// Number of recorded rows.
   std::size_t rows() const;

@@ -58,6 +58,10 @@ ExtendedGraph::ExtendedGraph(const stream::StreamNetwork& network,
     edges_.push_back({LinkKind::kDummyDifference, j});
   }
 
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    if (std::isfinite(nodes_[v].capacity)) finite_capacity_nodes_.push_back(v);
+  }
+
   // The per-commodity CSR index; the sorted node sets fall out of it.
   index_ = std::make_shared<const CommodityIndex>(*this);
   commodity_nodes_.resize(network.commodity_count());
@@ -73,15 +77,6 @@ ExtendedGraph::ExtendedGraph(const stream::StreamNetwork& network,
 NodeKind ExtendedGraph::node_kind(NodeId v) const {
   ensure(v < nodes_.size(), "ExtendedGraph: node out of range");
   return nodes_[v].kind;
-}
-
-double ExtendedGraph::capacity(NodeId v) const {
-  ensure(v < nodes_.size(), "ExtendedGraph: node out of range");
-  return nodes_[v].capacity;
-}
-
-bool ExtendedGraph::has_finite_capacity(NodeId v) const {
-  return std::isfinite(capacity(v));
 }
 
 NodeId ExtendedGraph::physical_node(NodeId v) const {
@@ -126,11 +121,6 @@ std::string ExtendedGraph::node_label(NodeId v) const {
       return "dummy(" + network_->commodity_name(nodes_[v].ref) + ")";
   }
   return "?";
-}
-
-LinkKind ExtendedGraph::link_kind(EdgeId e) const {
-  ensure(e < edges_.size(), "ExtendedGraph: edge out of range");
-  return edges_[e].kind;
 }
 
 stream::LinkId ExtendedGraph::physical_link(EdgeId e) const {
@@ -218,35 +208,18 @@ double ExtendedGraph::edge_cost(EdgeId e, double x) const {
   return u.value(lambda) - u.value(lambda - clamped);
 }
 
-double ExtendedGraph::edge_cost_derivative(EdgeId e, double x) const {
-  ensure(x >= -1e-9, "ExtendedGraph::edge_cost_derivative: negative usage");
-  if (link_kind(e) != LinkKind::kDummyDifference) return 0.0;
-  const CommodityId j = edges_[e].ref;
+double ExtendedGraph::utility_loss_derivative(CommodityId j, double x) const {
   const double lambda = network_->lambda(j);
   const auto& u = network_->utility(j);
   return u.derivative(lambda - std::clamp(x, 0.0, lambda));
 }
 
-double ExtendedGraph::node_penalty(NodeId v, double z) const {
-  return penalty_value(penalty_, capacity(v), z);
-}
-
-double ExtendedGraph::node_penalty_derivative(NodeId v, double z) const {
-  return penalty_derivative(penalty_, capacity(v), z);
-}
-
-double ExtendedGraph::edge_cost_second_derivative(EdgeId e, double x) const {
-  ensure(x >= -1e-9, "ExtendedGraph::edge_cost_second_derivative: negative");
-  if (link_kind(e) != LinkKind::kDummyDifference) return 0.0;
-  const CommodityId j = edges_[e].ref;
+double ExtendedGraph::utility_loss_second_derivative(CommodityId j,
+                                                     double x) const {
   const double lambda = network_->lambda(j);
   const auto& u = network_->utility(j);
   // Y(x) = U(l) - U(l - x)  =>  Y''(x) = -U''(l - x) >= 0.
   return -u.second_derivative(lambda - std::clamp(x, 0.0, lambda));
-}
-
-double ExtendedGraph::node_penalty_second_derivative(NodeId v, double z) const {
-  return penalty_second_derivative(penalty_, capacity(v), z);
 }
 
 }  // namespace maxutil::xform

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "stream/model.hpp"
+#include "util/check.hpp"
 #include "xform/commodity_index.hpp"
 #include "xform/penalty.hpp"
 
@@ -70,8 +72,20 @@ class ExtendedGraph {
   // --- Node structure ---
   NodeKind node_kind(NodeId v) const;
   /// Resource budget C_v: computing power, bandwidth, or +inf.
-  double capacity(NodeId v) const;
-  bool has_finite_capacity(NodeId v) const;
+  double capacity(NodeId v) const {
+    maxutil::util::ensure(v < nodes_.size(),
+                          "ExtendedGraph: node out of range");
+    return nodes_[v].capacity;
+  }
+  bool has_finite_capacity(NodeId v) const {
+    return std::isfinite(capacity(v));
+  }
+  /// Every node with a finite budget (servers and bandwidth nodes), in
+  /// ascending id order: the only nodes whose penalty D_v can be nonzero,
+  /// so cost sums and capacity guards visit these instead of all nodes.
+  const std::vector<NodeId>& finite_capacity_nodes() const {
+    return finite_capacity_nodes_;
+  }
   /// The physical node behind a kServer/kSink node (the identity mapping).
   NodeId physical_node(NodeId v) const;
   /// The physical link behind a kBandwidth node.
@@ -86,7 +100,11 @@ class ExtendedGraph {
   std::string node_label(NodeId v) const;
 
   // --- Edge structure ---
-  LinkKind link_kind(EdgeId e) const;
+  LinkKind link_kind(EdgeId e) const {
+    maxutil::util::ensure(e < edges_.size(),
+                          "ExtendedGraph: edge out of range");
+    return edges_[e].kind;
+  }
   /// Physical link behind a kProcessing/kTransfer edge.
   stream::LinkId physical_link(EdgeId e) const;
   /// Owning commodity of a dummy edge.
@@ -137,19 +155,35 @@ class ExtendedGraph {
 
   /// dY_e/dx = U_j'(lambda_j - x) on dummy difference links, else 0
   /// (eq. 11's first case).
-  double edge_cost_derivative(EdgeId e, double x) const;
+  double edge_cost_derivative(EdgeId e, double x) const {
+    maxutil::util::ensure(
+        x >= -1e-9, "ExtendedGraph::edge_cost_derivative: negative usage");
+    if (link_kind(e) != LinkKind::kDummyDifference) return 0.0;
+    return utility_loss_derivative(edges_[e].ref, x);
+  }
 
   /// eps * D_v(z) for usage z at node v; 0 for infinite-capacity nodes.
-  double node_penalty(NodeId v, double z) const;
+  double node_penalty(NodeId v, double z) const {
+    return penalty_value(penalty_, capacity(v), z);
+  }
 
   /// eps * dD_v/dz (eq. 11's second case).
-  double node_penalty_derivative(NodeId v, double z) const;
+  double node_penalty_derivative(NodeId v, double z) const {
+    return penalty_derivative(penalty_, capacity(v), z);
+  }
 
   /// d2Y_e/dx2 = -U_j''(lambda_j - x) on dummy difference links, else 0.
-  double edge_cost_second_derivative(EdgeId e, double x) const;
+  double edge_cost_second_derivative(EdgeId e, double x) const {
+    maxutil::util::ensure(
+        x >= -1e-9, "ExtendedGraph::edge_cost_second_derivative: negative");
+    if (link_kind(e) != LinkKind::kDummyDifference) return 0.0;
+    return utility_loss_second_derivative(edges_[e].ref, x);
+  }
 
   /// eps * d2D_v/dz2 (curvature for the second-derivative step variant).
-  double node_penalty_second_derivative(NodeId v, double z) const;
+  double node_penalty_second_derivative(NodeId v, double z) const {
+    return penalty_second_derivative(penalty_, capacity(v), z);
+  }
 
  private:
   struct NodeInfo {
@@ -162,6 +196,12 @@ class ExtendedGraph {
     std::size_t ref;  // physical link (processing/transfer) or commodity
   };
 
+  /// Y' and Y'' of commodity j's dummy difference link at usage x: the
+  /// out-of-line halves of the edge-cost derivatives, which are inline
+  /// because every other edge costs nothing.
+  double utility_loss_derivative(CommodityId j, double x) const;
+  double utility_loss_second_derivative(CommodityId j, double x) const;
+
   const stream::StreamNetwork* network_;
   PenaltyConfig penalty_;
   maxutil::graph::Digraph graph_;
@@ -172,6 +212,7 @@ class ExtendedGraph {
   std::vector<EdgeId> dummy_input_;              // per commodity
   std::vector<EdgeId> dummy_difference_;         // per commodity
   std::vector<std::vector<NodeId>> commodity_nodes_;
+  std::vector<NodeId> finite_capacity_nodes_;    // ascending
   std::shared_ptr<const CommodityIndex> index_;
 };
 

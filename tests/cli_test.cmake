@@ -1,5 +1,6 @@
 # CTest script driving the maxutil_cli binary end-to-end:
-# generate -> validate -> solve (lp and gradient agree) -> dot.
+# generate -> validate -> solve (lp and gradient agree) -> dot, plus the
+# unknown-flag error.
 # Invoked as: cmake -DCLI=<path-to-maxutil_cli> -DWORK=<dir> -P cli_test.cmake
 
 function(run_cli out_var)
@@ -80,6 +81,18 @@ endif()
 run_cli(dot_ext dot ${scenario_file} --extended)
 if(NOT dot_ext MATCHES "dummy")
   message(FATAL_ERROR "extended dot output lacks dummy nodes")
+endif()
+
+# A misspelled flag is an error, not a silent default: --iter (for --iters)
+# must fail and name the flag instead of running the default budget.
+execute_process(COMMAND ${CLI} solve ${scenario_file} --algo gradient --iter 3
+                OUTPUT_VARIABLE typo_out
+                ERROR_VARIABLE typo_err
+                RESULT_VARIABLE typo_result)
+if(typo_result EQUAL 0 OR NOT typo_err MATCHES "unknown flag --iter")
+  message(FATAL_ERROR
+          "solve --iter 3 should fail with 'unknown flag --iter' "
+          "(exit ${typo_result}): ${typo_err}")
 endif()
 
 message(STATUS "cli_test: all checks passed (lp=${lp_value}, gradient=${grad_value})")

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <new>
+#include <string>
 
 #include "core/allocation.hpp"
 #include "core/flow.hpp"
@@ -14,12 +21,30 @@
 #include "core/warm_start.hpp"
 #include "gen/figure1.hpp"
 #include "gen/random_instance.hpp"
+#include "scenario/scenario.hpp"
 #include "stream/model.hpp"
 #include "stream/surgery.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "xform/extended_graph.hpp"
 #include "xform/lp_reference.hpp"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a code path allocates nothing. Array, nothrow and sized forms route
+// through these two.
+std::atomic<std::size_t> g_operator_news{0};
+
+void* operator new(std::size_t size) {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -184,9 +209,8 @@ TEST(Marginals, MatchFiniteDifferencesOnRandomInstance) {
       const double down_cost = maxutil::core::compute_flows(xg, down).cost();
       ASSERT_TRUE(std::isfinite(up_cost) && std::isfinite(down_cost));
       const double fd = (up_cost - down_cost) / (2.0 * h);
-      const double analytic =
-          flows.t_at(j, tail) *
-          maxutil::core::marginal_via_edge(xg, flows, marginals, j, e);
+      const double analytic = flows.t_at(j, tail) *
+                              maxutil::core::marginal_via_edge(marginals, j, e);
       EXPECT_NEAR(analytic, fd, 1e-4 * (1.0 + std::abs(fd)))
           << "commodity " << j << " edge " << e;
       ++checked;
@@ -620,5 +644,114 @@ TEST_P(OptimizerProperty, ConvergedStateIsSoundAndNearOptimal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimizerProperty, ::testing::Range(0, 12));
+
+// ---------------------------------------------- served-instance golden
+
+// The served gradient workload's instance: random 40 servers, 4 commodities,
+// 5 stages, seed 7, eps = 0.1, round-tripped through the scenario text the
+// way a served instance is loaded.
+StreamNetwork served_instance() {
+  maxutil::gen::RandomInstanceParams params;
+  params.servers = 40;
+  params.commodities = 4;
+  params.stages = 5;
+  Rng rng(7);
+  return maxutil::scenario::parse_string(maxutil::scenario::write_string(
+      maxutil::gen::random_instance(params, rng)));
+}
+
+maxutil::xform::PenaltyConfig served_penalty() {
+  maxutil::xform::PenaltyConfig penalty;
+  penalty.epsilon = 0.1;
+  return penalty;
+}
+
+/// FNV-1a over the bytes of every phi slot, in slot order.
+std::uint64_t routing_hash(const RoutingState& routing) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::size_t s = 0; s < routing.slot_count(); ++s) {
+    const double phi = routing.phi_slot(s);
+    unsigned char bytes[sizeof phi];
+    std::memcpy(bytes, &phi, sizeof phi);
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+/// "<hexfloat utility> <hash>" of an optimizer's committed state.
+std::string fingerprint(const GradientOptimizer& opt) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%a %016llx", opt.utility(),
+                static_cast<unsigned long long>(routing_hash(opt.routing())));
+  return buf;
+}
+
+/// The physical server with the highest utilization f_v / C_v.
+NodeId busiest_server(const StreamNetwork& net, const ExtendedGraph& xg,
+                      const FlowState& flows) {
+  NodeId best = 0;
+  double best_load = -1.0;
+  for (NodeId v = 0; v < net.node_count(); ++v) {
+    if (net.is_sink(v)) continue;
+    const double load = flows.f_node[v] / xg.capacity(v);
+    if (load > best_load) {
+      best_load = load;
+      best = v;
+    }
+  }
+  return best;
+}
+
+// Recorded from the optimizer before its per-step workspace, derivative
+// tables and hoisted cost checks: those are storage and call-structure
+// changes, so every committed iterate must stay the same to the last bit.
+TEST(OptimizerGolden, ServedInstanceIteratesAreBitIdentical) {
+  const StreamNetwork net = served_instance();
+  const ExtendedGraph xg(net, served_penalty());
+  GradientOptions options;
+  options.max_iterations = 4000;
+  options.record_history = false;
+  GradientOptimizer cold(xg, options);
+  ASSERT_EQ(cold.run(), 4000u);
+  EXPECT_EQ(fingerprint(cold), "0x1.65bdb3f456978p+5 915713ad897d7aec");
+
+  // Warm re-solve after halving the busiest server's capacity.
+  const NodeId busiest = busiest_server(net, xg, cold.flows());
+  const auto surgery =
+      maxutil::stream::with_capacity_scaled(net, busiest, 0.5);
+  const ExtendedGraph warm_xg(surgery.network, served_penalty());
+  const auto start =
+      maxutil::core::remap_routing(xg, cold.routing(), warm_xg, surgery);
+  ASSERT_TRUE(start.has_value());
+  GradientOptimizer warm(warm_xg, options, *start);
+  ASSERT_EQ(warm.run(), 4000u);
+  EXPECT_EQ(fingerprint(warm), "0x1.30a67b2c34e92p+5 f2dce4c74c3feb03");
+
+  // The curvature-scaled step, with the utility trace on.
+  GradientOptions newton;
+  newton.curvature_scaled = true;
+  newton.eta = 1.0;
+  newton.max_iterations = 1000;
+  GradientOptimizer curved(xg, newton);
+  ASSERT_EQ(curved.run(), 1000u);
+  EXPECT_EQ(fingerprint(curved), "0x1.65c1dbd9f1c8bp+5 3e703523f4850de0");
+  EXPECT_EQ(curved.history().rows(), 1001u);
+}
+
+TEST(OptimizerGolden, SettledStepAllocatesNothing) {
+  const StreamNetwork net = served_instance();
+  const ExtendedGraph xg(net, served_penalty());
+  GradientOptions options;
+  options.record_history = false;
+  GradientOptimizer opt(xg, options);
+  for (int i = 0; i < 50; ++i) opt.step();  // warm-up sizes the workspace
+  const std::size_t before = g_operator_news.load();
+  for (int i = 0; i < 100; ++i) opt.step();
+  EXPECT_EQ(g_operator_news.load() - before, 0u);
+  EXPECT_EQ(opt.iterations(), 150u);
+}
 
 }  // namespace

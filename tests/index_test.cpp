@@ -5,7 +5,9 @@
 // dense pre-index implementation on the Figure-1 instance.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "core/flow.hpp"
 #include "core/gamma.hpp"
 #include "core/marginals.hpp"
+#include "core/optimizer.hpp"
 #include "core/routing.hpp"
 #include "gen/figure1.hpp"
 #include "gen/random_instance.hpp"
@@ -127,6 +130,55 @@ void check_index(const ExtendedGraph& xg) {
       ++k;
     }
     ASSERT_EQ(k, idx.node_commodities_end(v));
+  }
+}
+
+// The curvature recursion only feeds the curvature-scaled step; skipping it
+// must leave dA/dr and the per-edge derivative table bit-for-bit unchanged.
+TEST(CommodityIndex, MarginalsWithoutCurvatureKeepDrBitIdentical) {
+  namespace core = maxutil::core;
+  for (int seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(seed);
+    maxutil::util::Rng rng(static_cast<std::uint64_t>(seed) * 131 + 3);
+    maxutil::gen::RandomInstanceParams p;
+    p.servers = 20 + seed;
+    p.commodities = 2 + seed % 4;
+    const maxutil::stream::StreamNetwork net =
+        maxutil::gen::random_instance(p, rng);
+    const ExtendedGraph xg(net);
+    // A partly converged state: some traffic admitted, most slots loaded.
+    core::GradientOptions options;
+    options.max_iterations = 60;
+    options.record_history = false;
+    core::GradientOptimizer opt(xg, options);
+    opt.run();
+    const core::RoutingState& routing = opt.routing();
+    const core::FlowState& flows = opt.flows();
+    ASSERT_TRUE(std::isfinite(flows.cost()));
+    ASSERT_GT(flows.f_node[xg.source(0)], 0.0);
+    const core::MarginalCosts full =
+        core::compute_marginals(xg, routing, flows);
+    core::MarginalCosts plain;
+    core::compute_marginals(xg, routing, flows, /*with_curvature=*/false,
+                            plain);
+    EXPECT_TRUE(plain.curvature.empty());
+    ASSERT_EQ(full.curvature.size(), full.d_cost_d_input.size());
+    ASSERT_EQ(plain.d_cost_d_input.size(), full.d_cost_d_input.size());
+    EXPECT_EQ(std::memcmp(plain.d_cost_d_input.data(),
+                          full.d_cost_d_input.data(),
+                          full.d_cost_d_input.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(plain.d_cost_d_edge.size(), xg.edge_count());
+    EXPECT_EQ(std::memcmp(plain.d_cost_d_edge.data(),
+                          full.d_cost_d_edge.data(),
+                          xg.edge_count() * sizeof(double)),
+              0);
+    // A reused output switches back to the full set on request.
+    core::compute_marginals(xg, routing, flows, /*with_curvature=*/true,
+                            plain);
+    EXPECT_EQ(std::memcmp(plain.curvature.data(), full.curvature.data(),
+                          full.curvature.size() * sizeof(double)),
+              0);
   }
 }
 

@@ -16,10 +16,12 @@
 
 #include "ctrl/churn_plan.hpp"
 #include "gen/figure1.hpp"
+#include "scenario/scenario.hpp"
 #include "serve/acceptor.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wal.hpp"
+#include "solver/registry.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -247,6 +249,122 @@ TEST(ServeDaemon, ServingDoesNotGrowTheControllerReport) {
   EXPECT_EQ(report.decisions.size(), 40u);
   EXPECT_EQ(report.applied, 30u);
   EXPECT_TRUE(daemon.controller().report().events.empty());
+}
+
+// --- Poison requests ---
+
+maxutil::stream::StreamNetwork fair_share() {
+  return maxutil::scenario::load_file(std::string(MAXUTIL_SCENARIO_DIR) +
+                                      "/fair_share.maxutil");
+}
+
+/// No decision line may carry a check preamble or a source location.
+void expect_clean_log(const ServeReport& report) {
+  const std::string log = report.decision_log();
+  EXPECT_EQ(log.find("check failed"), std::string::npos) << log;
+  EXPECT_EQ(log.find(".cpp:"), std::string::npos) << log;
+}
+
+TEST(ServePoison, CapacityFactorOverflowIsRejected) {
+  Daemon daemon(fair_share(), fast_options());  // window 0
+  const ServeReport& report = daemon.run(parse_script_text(
+      "cap=aggregate*1e300@1\n"
+      "cap=aggregate*1e300@2\n"  // the cumulative factor overflows to inf
+      "query=a@3\n"));
+  ASSERT_EQ(report.decisions.size(), 3u);
+  EXPECT_EQ(report.decisions[0].outcome, Outcome::kApplied);
+  EXPECT_EQ(report.decisions[1].outcome, Outcome::kRejected);
+  EXPECT_NE(report.decisions[1].reason.find("capacity factor"),
+            std::string::npos);
+  EXPECT_EQ(report.decisions[2].outcome, Outcome::kReport);
+  EXPECT_GT(report.decisions[2].admitted, 0.0);
+  expect_clean_log(report);
+}
+
+TEST(ServePoison, RateFactorUnderflowIsRejected) {
+  // 1,075 halvings take the cumulative rate factor of c through the
+  // subnormals to 0. Each admit is served normally until the product would
+  // leave the normal range; from then on c stays departed, so every later
+  // depart and admit is rejected, and the stream still serves to the end.
+  std::string stream;
+  constexpr std::size_t kCycles = 1075;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    stream += "depart=c@" + std::to_string(2 * i + 1) + "\n";
+    stream += "admit=c*0.5@" + std::to_string(2 * i + 2) + "\n";
+  }
+  Daemon daemon(fair_share(), fast_options());
+  const ServeReport& report = daemon.run(parse_script_text(stream));
+  ASSERT_EQ(report.decisions.size(), 2 * kCycles);
+  // 0.5^1022 is the smallest normal factor: the 1,023rd admit is the first
+  // poison request.
+  constexpr std::size_t kFirstPoison = 1022;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    const auto& depart = report.decisions[2 * i];
+    const auto& admit = report.decisions[2 * i + 1];
+    SCOPED_TRACE(admit.line());
+    if (i < kFirstPoison) {
+      EXPECT_EQ(depart.outcome, Outcome::kApplied);
+      EXPECT_NE(admit.outcome, Outcome::kRejected);
+      continue;
+    }
+    if (i > kFirstPoison) {
+      EXPECT_EQ(depart.outcome, Outcome::kRejected);
+    }
+    EXPECT_EQ(admit.outcome, Outcome::kRejected);
+    EXPECT_NE(admit.reason.find("rate factor"), std::string::npos);
+  }
+  expect_clean_log(report);
+}
+
+// A solver stage that fails through a check, the way a real engine does on
+// input it cannot handle, on a scripted call-number window.
+std::size_t g_checked_calls = 0;
+std::size_t g_checked_fail_from = 0;  // 0 = never fail
+
+void register_checked_failure_solver() {
+  static const bool once = [] {
+    maxutil::solver::SolverInfo info;
+    info.name = "checked-failure";
+    info.description = "test-only: fails a check from a scripted call on";
+    info.default_iterations = 5000;
+    info.supports_warm_start = true;
+    info.emits_routing = true;
+    info.solve = [](const maxutil::solver::Problem& problem,
+                    const maxutil::solver::SolveOptions& options) {
+      ++g_checked_calls;
+      maxutil::util::ensure(
+          g_checked_fail_from == 0 || g_checked_calls < g_checked_fail_from,
+          "scripted solver check");
+      return maxutil::solver::SolverRegistry::instance().solve(
+          "gradient", problem, options);
+    };
+    maxutil::solver::SolverRegistry::instance().add(std::move(info));
+    return true;
+  }();
+  (void)once;
+}
+
+TEST(ServePoison, FailedResolveReasonCarriesNoBuildPath) {
+  register_checked_failure_solver();
+  g_checked_calls = 0;
+  g_checked_fail_from = 2;  // the boot solve passes, every re-solve fails
+  const auto net = maxutil::gen::figure1_example();
+  ServeOptions options = fast_options();
+  options.controller.pipeline = "checked-failure";
+  Daemon daemon(net, options);
+  const ServeReport& report = daemon.run(parse_script_text(
+      "cap=Server 3*0.5@1\n"
+      "depart=S2@2\n"
+      "admit=S2*0.5@3\n"));
+  g_checked_fail_from = 0;
+  ASSERT_EQ(report.decisions.size(), 3u);
+  EXPECT_EQ(report.decisions[0].outcome, Outcome::kApplied);
+  EXPECT_EQ(report.decisions[0].reason,
+            "re-solve failed: scripted solver check");
+  EXPECT_EQ(report.decisions[2].outcome, Outcome::kDeny);
+  EXPECT_EQ(report.decisions[2].reason,
+            "re-solve failed: scripted solver check");
+  expect_clean_log(report);
 }
 
 TEST(ServeDaemon, SubmitAfterFinishThrows) {

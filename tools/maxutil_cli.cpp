@@ -41,6 +41,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -152,9 +153,32 @@ int usage_to(std::FILE* out) {
 
 int usage() { return usage_to(stderr); }
 
-/// Parses "--key value" pairs after the subcommand/file arguments.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
+/// Flags that take no value.
+const std::set<std::string> kSwitches = {
+    "extended", "report", "newton", "metrics-report", "compare", "stamp"};
+
+/// Every flag each subcommand reads; anything else is an error rather than
+/// being silently ignored (a typo like --iter would run the default budget).
+const std::set<std::string> kSolveFlags = {
+    "algo", "compare", "compare-json", "eta", "eps", "iters", "tol",
+    "threads", "faults", "newton", "report", "metrics", "trace",
+    "metrics-report"};
+const std::set<std::string> kChurnFlags = {
+    "plan", "algo", "policy", "eps", "eta", "iters", "tol", "threads",
+    "budget", "report", "trace", "metrics"};
+const std::set<std::string> kServeFlags = {
+    "input", "listen", "window", "algo", "policy", "eps", "eta", "iters",
+    "tol", "threads", "budget", "admit-share", "deny-share", "max-pending",
+    "decisions", "json", "report", "metrics", "trace", "wal", "recover",
+    "snapshot-every", "flush-ms", "stamp"};
+const std::set<std::string> kDotFlags = {"extended"};
+const std::set<std::string> kGenerateFlags = {"servers", "commodities",
+                                              "stages", "lambda", "seed"};
+
+/// Parses "--key value" pairs after the subcommand/file arguments; `known`
+/// is the subcommand's flag set.
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int first, const std::set<std::string>& known) {
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
@@ -162,8 +186,10 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
       throw util::CheckError("unexpected argument '" + key + "'");
     }
     key = key.substr(2);
-    if (key == "extended" || key == "report" || key == "newton" ||
-        key == "metrics-report" || key == "compare" || key == "stamp") {
+    if (known.count(key) == 0) {
+      throw util::CheckError("unknown flag --" + key);
+    }
+    if (kSwitches.count(key) != 0) {
       flags[key] = "1";
     } else {
       if (i + 1 >= argc) {
@@ -661,22 +687,22 @@ int main(int argc, char** argv) {
       return cmd_validate(argv[2]);
     }
     if (command == "solve" && argc >= 3) {
-      return cmd_solve(argv[2], parse_flags(argc, argv, 3));
+      return cmd_solve(argv[2], parse_flags(argc, argv, 3, kSolveFlags));
     }
     if (command == "churn" && argc >= 3) {
-      return cmd_churn(argv[2], parse_flags(argc, argv, 3));
+      return cmd_churn(argv[2], parse_flags(argc, argv, 3, kChurnFlags));
     }
     if (command == "serve" && argc >= 3) {
-      return cmd_serve(argv[2], parse_flags(argc, argv, 3));
+      return cmd_serve(argv[2], parse_flags(argc, argv, 3, kServeFlags));
     }
     if (command == "help" || command == "--help") {
       return usage_to(stdout);
     }
     if (command == "dot" && argc >= 3) {
-      return cmd_dot(argv[2], parse_flags(argc, argv, 3));
+      return cmd_dot(argv[2], parse_flags(argc, argv, 3, kDotFlags));
     }
     if (command == "generate") {
-      return cmd_generate(parse_flags(argc, argv, 2));
+      return cmd_generate(parse_flags(argc, argv, 2, kGenerateFlags));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
