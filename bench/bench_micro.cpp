@@ -1,7 +1,9 @@
 // E9 — micro-benchmarks of the core primitives (google-benchmark): cost of
 // one flow-balance solve, one marginal-cost sweep, one Gamma update, one
 // full optimizer step, the extended-graph construction, the LP reference
-// solve, and one back-pressure round, on Section-6-sized instances.
+// solve, and one back-pressure round, on Section-6-sized instances; and one
+// controller brownout + repair pair re-solved on lp-sparse, on the
+// 500-server rung of the served lp-churn benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +13,8 @@
 #include "core/gamma.hpp"
 #include "core/marginals.hpp"
 #include "core/optimizer.hpp"
+#include "ctrl/controller.hpp"
+#include "gen/random_instance.hpp"
 #include "sim/distributed_gradient.hpp"
 #include "util/artifacts.hpp"
 #include "xform/extended_graph.hpp"
@@ -38,7 +42,7 @@ const core::RoutingState& warm_routing() {
     options.eta = 0.04;
     options.max_iterations = 200;
     options.record_history = false;
-    core::GradientOptimizer opt(shared_xg());
+    core::GradientOptimizer opt(shared_xg(), options);
     opt.run();
     return opt.routing();
   }();
@@ -154,6 +158,43 @@ void BM_LpReferenceSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpReferenceSolve)->Unit(benchmark::kMillisecond);
+
+/// A capacity brownout (x0.5) of one server and its repair (x2) through
+/// ctrl::Controller::apply_batch on lp-sparse, on the lp-churn instance
+/// (random 500 servers / 20 commodities / 5 stages, seed 7, epsilon 0.1).
+/// Each iteration is the pair: two same-shape batches, each an in-place
+/// patch of the live network plus a warm re-solve of the changed rhs.
+void BM_LpCapResolve(benchmark::State& state) {
+  gen::RandomInstanceParams params;
+  params.servers = 500;
+  params.commodities = 20;
+  params.stages = 5;
+  util::Rng rng(7);
+  const stream::StreamNetwork net = gen::random_instance(params, rng);
+  ctrl::ControllerOptions options;
+  options.pipeline = "lp-sparse";
+  options.penalty.epsilon = 0.1;
+  options.lp_reference = false;
+  ctrl::Controller controller(net, options);
+  // A mid-id server: like most lp-churn brownouts, its re-solve needs few
+  // or no pivots, so the pair measures the per-event set-up.
+  graph::NodeId server = net.node_count() / 2;
+  while (net.is_sink(server)) ++server;
+  ctrl::ChurnEvent brownout;
+  brownout.kind = ctrl::ChurnEventKind::kCapScale;
+  brownout.node = net.node_name(server);
+  brownout.factor = 0.5;
+  ctrl::ChurnEvent repair = brownout;
+  repair.factor = 2.0;
+  std::size_t pivots = 0;
+  for (auto _ : state) {
+    pivots += controller.apply_batch({brownout}).iterations;
+    pivots += controller.apply_batch({repair}).iterations;
+  }
+  state.counters["pivots_per_pair"] = benchmark::Counter(
+      static_cast<double>(pivots), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LpCapResolve)->Unit(benchmark::kMicrosecond);
 
 /// Console reporter that additionally captures every run for the
 /// machine-readable BENCH_micro.json perf artifact.

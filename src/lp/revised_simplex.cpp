@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
 
 namespace maxutil::lp {
@@ -53,12 +52,25 @@ class RevisedSolver {
       cost_[j] = sign * problem.objective_coefficient(j);
     }
     b_.resize(m_);
-    std::vector<la::Triplet> entries;
+    // CSC of the structural block, filled straight from the rows: count the
+    // terms per column, then place them in row order, so rows ascend within
+    // every column.
+    col_starts_.assign(n_ + 1, 0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      for (const auto& term : problem.row(i).terms) {
+        ++col_starts_[term.first + 1];
+      }
+    }
+    for (std::size_t j = 0; j < n_; ++j) col_starts_[j + 1] += col_starts_[j];
+    col_rows_.resize(col_starts_[n_]);
+    col_vals_.resize(col_starts_[n_]);
+    std::vector<std::size_t> fill(col_starts_.begin(), col_starts_.end() - 1);
     for (std::size_t i = 0; i < m_; ++i) {
       const LpProblem::Row& row = problem.row(i);
       b_[i] = row.rhs;
       for (const auto& [v, coeff] : row.terms) {
-        entries.push_back({v, i, coeff});
+        col_rows_[fill[v]] = static_cast<std::uint32_t>(i);
+        col_vals_[fill[v]++] = coeff;
       }
       // Slack: row + s = rhs. <= rows keep s >= 0, >= rows s <= 0, and
       // equalities pin s at 0 — no artificial variables anywhere.
@@ -78,22 +90,24 @@ class RevisedSolver {
           break;
       }
     }
-    // CSC of the structural block, deduplicated and row-sorted: the CSR of
-    // A^T is exactly the CSC of A.
-    const la::CsrMatrix csc(n_, m_, std::move(entries));
-    col_starts_.assign(n_ + 1, 0);
-    col_rows_.reserve(csc.nonzeros());
-    col_vals_.reserve(csc.nonzeros());
+    // Sum the terms a row repeats for one variable (adjacent within the
+    // column) and drop exact zeros, compacting in place.
+    std::size_t kept = 0;
     for (std::size_t j = 0; j < n_; ++j) {
-      const auto rows = csc.row_columns(j);
-      const auto vals = csc.row_values(j);
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        if (vals[k] == 0.0) continue;  // duplicates may cancel exactly
-        col_rows_.push_back(static_cast<std::uint32_t>(rows[k]));
-        col_vals_.push_back(vals[k]);
+      const std::size_t begin = col_starts_[j], end = col_starts_[j + 1];
+      col_starts_[j] = kept;
+      for (std::size_t t = begin; t < end;) {
+        const std::uint32_t row = col_rows_[t];
+        double total = col_vals_[t];
+        for (++t; t < end && col_rows_[t] == row; ++t) total += col_vals_[t];
+        if (total == 0.0) continue;  // duplicates may cancel exactly
+        col_rows_[kept] = row;
+        col_vals_[kept++] = total;
       }
-      col_starts_[j + 1] = col_rows_.size();
     }
+    col_starts_[n_] = kept;
+    col_rows_.resize(kept);
+    col_vals_.resize(kept);
     slack_rows_.resize(m_);
     for (std::size_t i = 0; i < m_; ++i) {
       slack_rows_[i] = static_cast<std::uint32_t>(i);
@@ -126,10 +140,17 @@ class RevisedSolver {
       // Canonicalize before the terminal refactorization: with the basis
       // header sorted, the final LU (and so x, objective, duals) is a
       // function of the basis *set* alone — a warm re-solve that adopts
-      // this basis reproduces the cold results bit for bit.
-      std::sort(basis_.begin(), basis_.end());
-      if (!factorize()) return LpStatus::kIterationLimit;
-      compute_basic_values();
+      // this basis reproduces the cold results bit for bit. When no pivot
+      // or bound flip ran since a factorization of an already sorted
+      // header, x_B holds exactly what this step would recompute (a warm
+      // re-solve that needs no pivot), so it is skipped.
+      const bool exact = exact_at_ == iters_ &&
+                         std::is_sorted(basis_.begin(), basis_.end());
+      if (!exact) {
+        std::sort(basis_.begin(), basis_.end());
+        if (!factorize()) return LpStatus::kIterationLimit;
+        compute_basic_values();
+      }
       if (basic_bound_violation() <= opt_.feasibility_tolerance) break;
       status = LpStatus::kIterationLimit;  // repair round exhausted?
     }
@@ -263,6 +284,7 @@ class RevisedSolver {
     }
     ftran(rhs);
     for (std::size_t i = 0; i < m_; ++i) x_[basis_[i]] = rhs[i];
+    exact_at_ = etas_.empty() ? iters_ : kNone;
   }
 
   /// c_j - y^T a_j for the structural/slack column j (with cost term `cj`).
@@ -563,6 +585,11 @@ class RevisedSolver {
   std::optional<la::SparseLu> lu_;
   std::vector<Eta> etas_;
   std::size_t iters_ = 0;
+  /// iters_ when x_B was last recomputed straight from a fresh LU (no eta
+  /// columns); kNone when the last recompute went through the eta file.
+  /// Every pivot and bound flip advances iters_, so exact_at_ == iters_
+  /// means the LU is of the current header and x_ has not moved since.
+  std::size_t exact_at_ = kNone;
 };
 
 }  // namespace

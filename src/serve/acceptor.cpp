@@ -127,7 +127,7 @@ void Acceptor::feed_line(int session, const std::string& line) {
   try {
     one = parse_script_text(line);
   } catch (const util::CheckError& e) {
-    s.outbox += std::string("error: ") + e.what() + "\n";
+    s.outbox += "error: " + util::strip_check_preamble(e.what()) + "\n";
     return;
   }
   for (Request& request : one.requests) {
@@ -143,7 +143,7 @@ void Acceptor::feed_line(int session, const std::string& line) {
       sink_->submit(request);
     } catch (const util::CheckError& e) {
       joined = false;
-      s.outbox += std::string("error: ") + e.what() + "\n";
+      s.outbox += "error: " + util::strip_check_preamble(e.what()) + "\n";
     }
     const bool overloaded =
         sink_->daemon().report().overload_denied > overload_before;

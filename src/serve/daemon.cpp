@@ -28,9 +28,10 @@ std::string fmt(double v) {
 }
 
 /// Decision reason of a batch whose re-solve failed: the solver's own
-/// message without any check preamble, so the log carries no build paths.
+/// message, which the controller already stripped of any check preamble,
+/// so the log carries no build paths.
 std::string failed_solve_reason(const ctrl::EventOutcome& outcome) {
-  return "re-solve failed: " + util::strip_check_preamble(outcome.message);
+  return "re-solve failed: " + outcome.message;
 }
 
 /// Error-message prefix of the snapshot header reader.

@@ -111,7 +111,7 @@ void for_each_request(std::istream& in,
       request = parse_request(line);
     } catch (const util::CheckError& e) {
       throw util::CheckError("line " + std::to_string(line_no) + ": " +
-                             e.what());
+                             util::strip_check_preamble(e.what()));
     }
     request.line = line_no;
     ensure(first || request.time() >= last_time,

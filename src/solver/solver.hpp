@@ -39,6 +39,11 @@ class Problem {
   const xform::ExtendedGraph& extended() const { return xg_; }
   std::size_t commodity_count() const { return xg_.commodity_count(); }
 
+  /// Re-reads the network's capacities and bandwidths into the extended
+  /// graph after StreamNetwork::set_capacity / set_bandwidth on the
+  /// network this Problem was built over (ExtendedGraph::refresh_capacities).
+  void refresh_capacities() { xg_.refresh_capacities(); }
+
  private:
   const stream::StreamNetwork* network_;
   xform::ExtendedGraph xg_;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "la/matrix.hpp"
-#include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -13,7 +12,6 @@
 
 namespace {
 
-using maxutil::la::CsrMatrix;
 using maxutil::la::Matrix;
 using maxutil::la::SparseColumnView;
 using maxutil::la::SparseLu;
@@ -163,22 +161,6 @@ TEST(Lu, TransposedSolveRoundTrip) {
   ASSERT_FALSE(lu.singular());
   lu.solve_transposed_in_place(x);
   EXPECT_LT(maxutil::util::max_abs_diff(x, x_true), 1e-9);
-}
-
-TEST(Csr, AssemblyAccumulatesDuplicates) {
-  CsrMatrix m(2, 2,
-              {{0, 1, 2.0}, {0, 1, 3.0}, {1, 0, 1.0}});
-  EXPECT_EQ(m.nonzeros(), 2u);
-  const auto cols = m.row_columns(0);
-  const auto vals = m.row_values(0);
-  ASSERT_EQ(cols.size(), 1u);
-  ASSERT_EQ(vals.size(), 1u);
-  EXPECT_EQ(cols[0], 1u);
-  EXPECT_DOUBLE_EQ(vals[0], 5.0);
-}
-
-TEST(Csr, OutOfRangeEntryThrows) {
-  EXPECT_THROW(CsrMatrix(2, 2, {{2, 0, 1.0}}), CheckError);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "lp/model.hpp"
 #include "lp/pwl.hpp"
+#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -18,6 +21,7 @@ using maxutil::lp::LpStatus;
 using maxutil::lp::PwlConcave;
 using maxutil::lp::Relation;
 using maxutil::lp::Sense;
+using maxutil::lp::SimplexBasis;
 using maxutil::lp::SimplexOptions;
 using maxutil::lp::VarId;
 using maxutil::util::CheckError;
@@ -256,6 +260,95 @@ TEST_P(SimplexRandomProperty, OptimalDominatesRandomFeasiblePoints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomProperty,
                          ::testing::Range(0, 25));
+
+// --- Sparse revised simplex ---
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Status, objective, x and duals agree bit for bit.
+void expect_bit_identical(const LpSolution& a, const LpSolution& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(bits(a.objective), bits(b.objective));
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (std::size_t j = 0; j < a.x.size(); ++j) {
+    EXPECT_EQ(bits(a.x[j]), bits(b.x[j])) << "x " << j;
+  }
+  ASSERT_EQ(a.duals.size(), b.duals.size());
+  for (std::size_t i = 0; i < a.duals.size(); ++i) {
+    EXPECT_EQ(bits(a.duals[i]), bits(b.duals[i])) << "dual " << i;
+  }
+}
+
+TEST(RevisedSimplex, WarmReSolveFromTheOptimalBasisIsBitIdentical) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // A bounded packing LP with a few equality and covering rows, so the
+    // optimal basis mixes structural and slack columns.
+    LpProblem p;
+    p.set_sense(Sense::kMaximize);
+    const std::size_t nvars = 12;
+    for (std::size_t v = 0; v < nvars; ++v) {
+      p.add_variable("x" + std::to_string(v), 0.0, rng.uniform(1.0, 8.0),
+                     rng.uniform(0.1, 5.0));
+    }
+    for (std::size_t r = 0; r < 8; ++r) {
+      std::vector<std::pair<VarId, double>> terms;
+      for (std::size_t v = 0; v < nvars; ++v) {
+        if (rng.uniform(0.0, 1.0) < 0.5) {
+          terms.emplace_back(v, rng.uniform(0.5, 3.0));
+        }
+      }
+      if (terms.empty()) terms.emplace_back(r, 1.0);
+      p.add_constraint(std::move(terms), Relation::kLessEq,
+                       rng.uniform(4.0, 20.0));
+    }
+    p.add_constraint({{0, 1.0}, {1, -1.0}}, Relation::kEq, 0.0);
+    p.add_constraint({{2, 1.0}, {3, 1.0}}, Relation::kGreaterEq, 0.5);
+
+    SimplexBasis basis;
+    const LpSolution first = maxutil::lp::solve_revised(p, {}, &basis);
+    ASSERT_EQ(first.status, LpStatus::kOptimal);
+    ASSERT_GT(first.iterations, 0u);
+    ASSERT_FALSE(basis.empty());
+
+    SimplexBasis warm = basis;
+    const LpSolution second = maxutil::lp::solve_revised(p, {}, &warm);
+    EXPECT_EQ(second.iterations, 0u);
+    expect_bit_identical(second, first);
+    EXPECT_EQ(warm.status, basis.status);
+  }
+}
+
+TEST(RevisedSimplex, DuplicateAndCancellingTermsSolveAsTheSummedModel) {
+  // max 3x + 5y + z  s.t.  x <= 4,  2y <= 12,  3x + 2y <= 18,  z + y <= 7,
+  // 0 <= z <= 2: the hand-summed model.
+  const auto build = [](bool split) {
+    LpProblem p;
+    p.set_sense(Sense::kMaximize);
+    const VarId x = p.add_variable("x", 0.0, kInfinity, 3.0);
+    const VarId y = p.add_variable("y", 0.0, kInfinity, 5.0);
+    const VarId z = p.add_variable("z", 0.0, 2.0, 1.0);
+    p.add_constraint({{x, 1.0}}, Relation::kLessEq, 4.0);
+    if (split) {
+      // y's 2 split in two; x's 3 split around y; z enters and cancels.
+      p.add_constraint({{y, 1.5}, {y, 0.5}}, Relation::kLessEq, 12.0);
+      p.add_constraint({{x, 1.0}, {z, 1.0}, {y, 2.0}, {x, 2.0}, {z, -1.0}},
+                       Relation::kLessEq, 18.0);
+    } else {
+      p.add_constraint({{y, 2.0}}, Relation::kLessEq, 12.0);
+      p.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::kLessEq, 18.0);
+    }
+    p.add_constraint({{z, 1.0}, {y, 1.0}}, Relation::kLessEq, 7.0);
+    return p;
+  };
+  const LpSolution summed = maxutil::lp::solve_revised(build(false));
+  const LpSolution split = maxutil::lp::solve_revised(build(true));
+  ASSERT_EQ(summed.status, LpStatus::kOptimal);
+  EXPECT_NEAR(summed.objective, 37.0, 1e-9);  // (2, 6, 1)
+  EXPECT_EQ(split.iterations, summed.iterations);
+  expect_bit_identical(split, summed);
+}
 
 TEST(Duals, TextbookShadowPrices) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18: the classic example
